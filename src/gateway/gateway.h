@@ -51,7 +51,11 @@ enum class GatewayReadMode : std::uint8_t {
   /// Answer locally only under a valid sequencer lease (granted by the
   /// leader over the TO-stream, conservatively invalidated on view change
   /// or flush); otherwise fall back to an ordered read that round-trips the
-  /// ring. Linearizable reads at local-read cost while the lease is warm.
+  /// ring. Sequentially consistent reads at local-read cost while the lease
+  /// is warm, and no stale read across a view change — but not
+  /// linearizable: the lease check does not wait for the local delivered
+  /// prefix to reach the leader's sequence number (DESIGN.md §12.3; the
+  /// read-index item in ROADMAP.md).
   kLeased,
 };
 

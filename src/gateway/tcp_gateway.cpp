@@ -1,11 +1,6 @@
 #include "gateway/tcp_gateway.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,11 +18,6 @@ namespace {
 /// pipelined burst in a few syscalls.
 constexpr std::size_t kRecvChunk = 16 * 1024;
 constexpr std::size_t kRxChunkDefault = 64 * 1024;
-
-/// epoll_event.data.u64 sentinels for the two non-connection fds; Conn
-/// pointers can never collide with these.
-constexpr std::uint64_t kWakeTag = 0;
-constexpr std::uint64_t kListenTag = 1;
 
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   while (n > 0) {
@@ -56,19 +46,11 @@ bool read_all(int fd, std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-void set_nonblocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
 
 bool gateway_write_frame(int fd, const ClientFrame& frame) {
-  Bytes body = encode_client_frame(frame);
-  std::uint8_t len[4];
-  std::uint32_t n = static_cast<std::uint32_t>(body.size());
-  for (int i = 0; i < 4; ++i) len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-  return write_all(fd, len, 4) && write_all(fd, body.data(), body.size());
+  Bytes wire = encode_client_frame_with_prefix(frame);
+  return write_all(fd, wire.data(), wire.size());
 }
 
 std::optional<ClientFrame> gateway_read_frame(int fd) {
@@ -103,205 +85,67 @@ Bytes encode_client_frame_with_prefix(const ClientFrame& frame) {
 // --- EventLoop ---
 
 GatewayServer::EventLoop::EventLoop(GatewayServer& server, std::size_t index)
-    : server_(server), index_(index), role_("GatewayServer::loop") {}
-
-GatewayServer::EventLoop::~EventLoop() {
-  stop_join();
-  {
-    // Under the inbox mutex: a straggler queue_reply from the transport
-    // thread must never write into a recycled fd.
-    MutexLock lock(inbox_mutex_);
-    if (wake_fd_ >= 0) {
-      ::close(wake_fd_);
-      wake_fd_ = -1;
-    }
-  }
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-  }
+    : server_(server), index_(index) {
+  reactor_.set_iteration_hook([this] {
+    reactor_.role().assert_held();  // lambda: runs at the end of each iteration
+    flush_replies();
+  });
 }
 
-void GatewayServer::EventLoop::start() {
-  epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    throw std::runtime_error("gateway: epoll/eventfd creation failed");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  if (index_ == 0) {
-    epoll_event lev{};
-    lev.events = EPOLLIN;  // level-triggered: accept_ready drains to EAGAIN
-    lev.data.u64 = kListenTag;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, server_.listen_fd_, &lev);
-  }
-  thread_ = Thread([this] { run(); });
+void GatewayServer::EventLoop::post_reply(std::uint64_t serial, const ClientReply& r) {
+  reactor_.post([this, serial, r]() mutable {
+    reactor_.role().assert_held();  // lambda: a posted closure
+    replies_.emplace_back(serial, std::move(r));
+  });
 }
 
-void GatewayServer::EventLoop::stop_join() {
-  if (!thread_.joinable()) return;
-  {
-    MutexLock lock(inbox_mutex_);
-    tasks_.push_back([this] {
-      role_.assert_held();  // lambda: runs inside drain_inbox on the loop
-      stop_requested_ = true;
-    });
-    if (!wake_pending_ && wake_fd_ >= 0) {
-      wake_pending_ = true;
-      std::uint64_t one = 1;
-      [[maybe_unused]] ssize_t w = ::write(wake_fd_, &one, sizeof(one));
-    }
-  }
-  thread_.join();
+void GatewayServer::EventLoop::listen(int listen_fd) {
+  // Single-threaded setup: no loop thread exists yet to contend the role.
+  ThreadRoleRegion role(reactor_.role());
+  reactor_.watch(listen_fd, [this, listen_fd](std::uint32_t) {
+    reactor_.role().assert_held();  // lambda: a reactor handler
+    accept_ready(listen_fd);
+  });
 }
 
-void GatewayServer::EventLoop::wake() {
-  MutexLock lock(inbox_mutex_);
-  if (wake_pending_ || wake_fd_ < 0) return;
-  wake_pending_ = true;
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t w = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void GatewayServer::EventLoop::adopt_fd(int fd, std::uint64_t serial) {
-  {
-    MutexLock lock(inbox_mutex_);
-    tasks_.push_back([this, fd, serial] {
-      role_.assert_held();  // lambda: runs inside drain_inbox on the loop
-      add_conn(fd, serial);
-    });
-  }
-  wake();
-}
-
-void GatewayServer::EventLoop::queue_reply(std::uint64_t serial,
-                                           const ClientReply& r) {
-  {
-    MutexLock lock(inbox_mutex_);
-    pending_replies_.emplace_back(serial, r);
-  }
-  wake();
-}
-
-std::size_t GatewayServer::EventLoop::open_connections() const {
-  MutexLock lock(inbox_mutex_);
-  return open_conns_published_;
-}
-
-void GatewayServer::EventLoop::run() {
-  ThreadRoleRegion region(role_);
-  constexpr int kMaxEvents = 128;
-  epoll_event events[kMaxEvents];
-  while (!stop_requested_) {
-    int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      if (tag == kWakeTag) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] ssize_t r = ::read(wake_fd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (tag == kListenTag) {
-        accept_ready();
-        continue;
-      }
-      Conn& c = *reinterpret_cast<Conn*>(static_cast<std::uintptr_t>(tag));
-      if (c.fd < 0) continue;  // closed earlier this iteration
-      if (events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
-        handle_readable(c);
-      }
-      if (c.fd >= 0 && (events[i].events & EPOLLOUT)) handle_writable(c);
-    }
-    drain_inbox();
-    // Reap connections closed during this iteration; deferred so epoll
-    // events and queued replies referencing them stay valid in between.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      it = it->second->fd < 0 ? conns_.erase(it) : std::next(it);
-    }
-    {
-      MutexLock lock(inbox_mutex_);
-      open_conns_published_ = conns_.size();
-    }
-  }
-  for (auto& [serial, conn] : conns_) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
-  conns_.clear();
-  MutexLock lock(inbox_mutex_);
-  open_conns_published_ = 0;
-}
-
-void GatewayServer::EventLoop::drain_inbox() {
-  std::vector<std::function<void()>> tasks;
-  std::vector<std::pair<std::uint64_t, ClientReply>> replies;
-  {
-    MutexLock lock(inbox_mutex_);
-    tasks.swap(tasks_);
-    replies.swap(pending_replies_);
-    wake_pending_ = false;
-  }
-  for (auto& t : tasks) t();
-  if (!replies.empty()) flush_replies(std::move(replies));
-}
-
-void GatewayServer::EventLoop::accept_ready() {
-  for (;;) {
-    int fd = ::accept4(server_.listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN, or the listener was shut down by stop()
-    }
-    if (!server_.running_.load()) {
-      ::close(fd);
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+void GatewayServer::EventLoop::accept_ready(int listen_fd) {
+  for (int fd; (fd = accept_stream(listen_fd)) >= 0;) {
     const std::uint64_t serial = server_.next_serial_.fetch_add(1);
-    const std::size_t target =
-        server_.next_loop_.fetch_add(1) % server_.loops_.size();
-    EventLoop& loop = *server_.loops_[target];
-    if (&loop == this) {
+    const std::size_t target = server_.next_loop_.fetch_add(1) % server_.loops_.size();
+    if (target == index_) {
       add_conn(fd, serial);
-    } else {
-      loop.adopt_fd(fd, serial);
+      continue;
     }
+    EventLoop* loop = server_.loops_[target].get();
+    loop->reactor_.post([loop, fd, serial] {
+      loop->reactor_.role().assert_held();  // lambda: a posted closure
+      loop->add_conn(fd, serial);
+    });
   }
 }
 
 void GatewayServer::EventLoop::add_conn(int fd, std::uint64_t serial) {
-  auto conn = std::make_unique<Conn>();
+  auto conn = std::make_shared<Conn>();
   conn->fd = fd;
   conn->serial = serial;
   conn->rx.set_default_chunk_size(kRxChunkDefault);
-  epoll_event ev{};
-  // Edge-triggered both ways: reads drain to EAGAIN; writes are attempted
-  // eagerly at enqueue and EPOLLOUT only matters after a write hit EAGAIN.
-  ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
-  ev.data.u64 = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(conn.get()));
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    ::close(fd);
-    return;
-  }
+  // Replies are written from the iteration hook; EPOLLOUT only matters
+  // after a write hit EAGAIN. The handler shares ownership, so a conn it
+  // closes stays valid until the reactor frees the handler at the end of
+  // the iteration.
+  reactor_.watch(fd, [this, c = conn](std::uint32_t events) {
+    reactor_.role().assert_held();  // lambda: a reactor handler
+    if (events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) handle_readable(*c, events);
+    if (c->fd >= 0 && (events & EPOLLOUT) && !c->send_outbox()) close_conn(*c, true);
+  });
   conns_.emplace(serial, std::move(conn));
+  open_conns_.fetch_add(1);
 }
 
 void GatewayServer::EventLoop::close_conn(Conn& c, bool notify_gateway) {
   if (c.fd < 0) return;
-  ::close(c.fd);  // also removes it from the epoll set
+  reactor_.close_fd(c.fd);
   c.fd = -1;
-  c.outbox.clear();
-  c.outbox_bytes = 0;
   if (notify_gateway) {
     for (std::uint64_t id : c.clients_seen) {
       server_.io_.post([srv = &server_, id, serial = c.serial] {
@@ -310,30 +154,29 @@ void GatewayServer::EventLoop::close_conn(Conn& c, bool notify_gateway) {
       });
     }
   }
+  open_conns_.fetch_sub(1);
+  conns_.erase(c.serial);
 }
 
-void GatewayServer::EventLoop::handle_readable(Conn& c) {
-  for (;;) {
-    auto buf = c.rx.writable(kRecvChunk);
-    ssize_t n = ::recv(c.fd, buf.data(), buf.size(), 0);
-    if (n > 0) {
-      c.rx.commit(static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < buf.size()) break;  // drained
-      continue;
-    }
-    if (n == 0) {
-      close_conn(c, true);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    close_conn(c, true);
-    return;
-  }
-  if (!parse_frames(c)) return;  // connection dropped on a hostile frame
+void GatewayServer::EventLoop::stop() {
+  reactor_.stop();  // closes every socket of the shard
+  reactor_.post([this] {
+    reactor_.role().assert_held();  // lambda: drained inline, the loop is gone
+    conns_.clear();
+    replies_.clear();
+    open_conns_.store(0);
+  });
 }
 
-bool GatewayServer::EventLoop::parse_frames(Conn& c) {
+void GatewayServer::EventLoop::handle_readable(Conn& c, std::uint32_t events) {
+  const bool open = c.receive(kRecvChunk, events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR));
+  // Requests that arrived ahead of an EOF still execute: their batch is
+  // posted before the disconnect.
+  parse_frames(c);
+  if (!open) close_conn(c, true);
+}
+
+void GatewayServer::EventLoop::parse_frames(Conn& c) {
   std::vector<ClientMsg> batch;
   for (;;) {
     auto data = c.rx.readable();
@@ -342,7 +185,7 @@ bool GatewayServer::EventLoop::parse_frames(Conn& c) {
     for (int i = 0; i < 4; ++i) len |= std::uint32_t{data[i]} << (8 * i);
     if (len == 0 || len > kMaxClientFrameBytes) {
       close_conn(c, true);
-      return false;
+      return;
     }
     if (data.size() < 4 + static_cast<std::size_t>(len)) break;
     try {
@@ -361,17 +204,17 @@ bool GatewayServer::EventLoop::parse_frames(Conn& c) {
       FSR_WARN("gateway: dropping connection on malformed client frame: %s",
                e.what());
       close_conn(c, true);
-      return false;
+      return;
     }
     c.rx.consume(4 + static_cast<std::size_t>(len));
   }
-  if (batch.empty()) return true;
+  if (batch.empty()) return;
   // One marshalled closure per socket drain: the whole burst crosses to the
   // I/O thread together and ends in a single coalescing flush, so requests
   // that arrived together leave in one broadcast envelope.
   auto loop = server_.loops_[index_];  // shared: outlives in-flight replies
   auto send = [loop, serial = c.serial](const ClientReply& r) {
-    loop->queue_reply(serial, r);
+    loop->post_reply(serial, r);
   };
   server_.io_.post([srv = &server_, msgs = std::move(batch), send,
                     serial = c.serial]() mutable {
@@ -390,44 +233,24 @@ bool GatewayServer::EventLoop::parse_frames(Conn& c) {
     }
     rt.end_drain();
   });
-  return true;
 }
 
 void GatewayServer::EventLoop::enqueue_frame(Conn& c, Bytes frame) {
-  c.outbox_bytes += frame.size();
-  if (c.outbox_bytes > server_.cfg_.max_outbox_bytes) {
+  if (c.outbox_bytes + frame.size() > server_.cfg_.max_outbox_bytes) {
     // Slow loris: the peer stopped reading. Cut it loose rather than hold
     // reply memory hostage; its session state survives for a reconnect.
     FSR_WARN("gateway: conn serial %llu outbox overflow (%zu bytes), dropping",
-             (unsigned long long)c.serial, c.outbox_bytes);
+             (unsigned long long)c.serial, c.outbox_bytes + frame.size());
     close_conn(c, true);
     return;
   }
-  c.outbox.push_back(std::move(frame));
+  c.push(OutChunk{std::move(frame), Payload{}});
 }
 
-void GatewayServer::EventLoop::handle_writable(Conn& c) {
-  while (!c.outbox.empty()) {
-    const Bytes& front = c.outbox.front();
-    ssize_t n = ::send(c.fd, front.data() + c.out_off, front.size() - c.out_off,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // ET resumes us
-      close_conn(c, true);
-      return;
-    }
-    c.out_off += static_cast<std::size_t>(n);
-    c.outbox_bytes -= static_cast<std::size_t>(n);
-    if (c.out_off == front.size()) {
-      c.outbox.pop_front();
-      c.out_off = 0;
-    }
-  }
-}
-
-void GatewayServer::EventLoop::flush_replies(
-    std::vector<std::pair<std::uint64_t, ClientReply>> replies) {
+void GatewayServer::EventLoop::flush_replies() {
+  if (replies_.empty()) return;
+  std::vector<std::pair<std::uint64_t, ClientReply>> replies;
+  replies.swap(replies_);
   // Group per connection, preserving order, and pack each group into as few
   // frames as the codec's per-frame message cap allows.
   constexpr std::size_t kMsgsPerFrame = 1024;  // decode-side kMaxMsgsPerFrame
@@ -439,7 +262,7 @@ void GatewayServer::EventLoop::flush_replies(
     it->second.msgs.emplace_back(std::move(r));
     if (it->second.msgs.size() >= kMsgsPerFrame) {
       auto cit = conns_.find(serial);
-      if (cit != conns_.end() && cit->second->fd >= 0) {
+      if (cit != conns_.end()) {
         enqueue_frame(*cit->second, encode_client_frame_with_prefix(it->second));
       }
       it->second.msgs.clear();
@@ -447,12 +270,11 @@ void GatewayServer::EventLoop::flush_replies(
   }
   for (std::uint64_t serial : order) {
     auto cit = conns_.find(serial);
-    if (cit == conns_.end() || cit->second->fd < 0) continue;  // died; dropped
+    if (cit == conns_.end()) continue;  // died; dropped
+    std::shared_ptr<Conn> c = cit->second;  // enqueue/close may erase the entry
     ClientFrame& frame = grouped[serial];
-    if (!frame.msgs.empty()) {
-      enqueue_frame(*cit->second, encode_client_frame_with_prefix(frame));
-    }
-    if (cit->second->fd >= 0) handle_writable(*cit->second);
+    if (!frame.msgs.empty()) enqueue_frame(*c, encode_client_frame_with_prefix(frame));
+    if (c->fd >= 0 && !c->send_outbox()) close_conn(*c, true);
   }
 }
 
@@ -467,43 +289,23 @@ GatewayServer::GatewayServer(TcpTransport& io, ShardRouter& router,
 GatewayServer::~GatewayServer() { stop(); }
 
 void GatewayServer::start(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("gateway: socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 1024) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("gateway: bind/listen failed");
-  }
-  set_nonblocking(listen_fd_);
-  socklen_t alen = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
-  port_ = ntohs(addr.sin_port);
+  Listener l = listen_tcp("127.0.0.1", port, 1024);
+  port_ = l.port;
   running_.store(true);
   loops_.reserve(cfg_.event_loops);
   for (std::size_t i = 0; i < cfg_.event_loops; ++i) {
     loops_.push_back(std::make_shared<EventLoop>(*this, i));
   }
-  for (auto& loop : loops_) loop->start();
+  loops_[0]->listen(l.fd);
+  for (auto& loop : loops_) loop->reactor().start();
 }
 
 void GatewayServer::stop() {
   if (!running_.exchange(false)) return;
-  // Kick the listener out of loop 0's epoll interest before the loops exit,
-  // then join every loop; each closes its connection shard on the way out.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (auto& loop : loops_) loop->stop_join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  loops_.clear();  // reply closures still in flight keep their loop alive
+  // Loop 0 first: it closes the listener, so no accept hand-off follows.
+  // Each loop closes its connection shard on the way out.
+  for (auto& loop : loops_) loop->stop();
+  loops_.clear();  // reply callbacks still held by the gateway keep their loop alive
 }
 
 std::size_t GatewayServer::open_connections() const {
@@ -580,70 +382,51 @@ void TcpGatewayCluster::crash(NodeId node) {
   cluster_->crash(node);
 }
 
-GatewayCounters TcpGatewayCluster::gateway_counters() const {
-  GatewayCounters total;
-  for (std::size_t i = 0; i < gateways_.size(); ++i) {
+template <typename T, typename Fn>
+T TcpGatewayCluster::sum_live(Fn read) const {
+  T total{};
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
     auto id = static_cast<NodeId>(i);
     if (!cluster_->alive(id)) continue;
-    GatewayCounters c;
-    cluster_->transport(id).post_wait([&] {
-      ShardRouter& rt = *routers_[i];
-      ThreadRoleRegion role(rt.role());
-      c = rt.counters();
-    });
-    total += c;
+    T v{};
+    cluster_->transport(id).post_wait([&] { v = read(i); });
+    total += v;
   }
   return total;
+}
+
+GatewayCounters TcpGatewayCluster::gateway_counters() const {
+  return sum_live<GatewayCounters>([this](std::size_t i) {
+    ShardRouter& rt = *routers_[i];
+    ThreadRoleRegion role(rt.role());
+    return rt.counters();
+  });
 }
 
 GatewayCounters TcpGatewayCluster::gateway_counters(GroupId shard) const {
-  GatewayCounters total;
-  for (std::size_t i = 0; i < gateways_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    if (!cluster_->alive(id)) continue;
-    GatewayCounters c;
-    cluster_->transport(id).post_wait([&] {
-      ShardRouter& rt = *routers_[i];
-      ThreadRoleRegion role(rt.role());
-      c = rt.shard_counters(shard);
-    });
-    total += c;
-  }
-  return total;
+  return sum_live<GatewayCounters>([this, shard](std::size_t i) {
+    ShardRouter& rt = *routers_[i];
+    ThreadRoleRegion role(rt.role());
+    return rt.shard_counters(shard);
+  });
 }
 
 std::uint64_t TcpGatewayCluster::total_admitted_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < gateways_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    if (!cluster_->alive(id)) continue;
-    std::uint64_t v = 0;
-    cluster_->transport(id).post_wait([&] {
-      ShardRouter& rt = *routers_[i];
-      ThreadRoleRegion role(rt.role());
-      v = rt.admitted_bytes();
-    });
-    total += v;
-  }
-  return total;
+  return sum_live<std::uint64_t>([this](std::size_t i) {
+    ShardRouter& rt = *routers_[i];
+    ThreadRoleRegion role(rt.role());
+    return rt.admitted_bytes();
+  });
 }
 
 std::uint64_t TcpGatewayCluster::total_owned_sessions() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < gateways_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    if (!cluster_->alive(id)) continue;
-    std::uint64_t v = 0;
-    cluster_->transport(id).post_wait([&] {
-      // A session binds in every shard; count distinct sessions once via
-      // shard 0 (hello binds all shards together).
-      Gateway& gw = *gateways_[i][0];
-      ThreadRoleRegion role(gw.role());
-      v = gw.owned_sessions();
-    });
-    total += v;
-  }
-  return total;
+  return sum_live<std::uint64_t>([this](std::size_t i) {
+    // A session binds in every shard; count distinct sessions once via
+    // shard 0 (hello binds all shards together).
+    Gateway& gw = *gateways_[i][0];
+    ThreadRoleRegion role(gw.role());
+    return gw.owned_sessions();
+  });
 }
 
 std::vector<std::uint64_t> TcpGatewayCluster::fingerprints() const {
@@ -659,27 +442,12 @@ std::vector<std::uint64_t> TcpGatewayCluster::fingerprints() const {
 }
 
 std::uint64_t TcpGatewayCluster::total_failed_cas() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < stores_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    if (!cluster_->alive(id)) continue;
-    std::uint64_t v = 0;
-    cluster_->transport(id).post_wait([&] { v = stores_[i]->failed_cas(); });
-    total += v;
-  }
-  return total;
+  return sum_live<std::uint64_t>([this](std::size_t i) { return stores_[i]->failed_cas(); });
 }
 
 std::uint64_t TcpGatewayCluster::total_applied() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < stores_.size(); ++i) {
-    auto id = static_cast<NodeId>(i);
-    if (!cluster_->alive(id)) continue;
-    std::uint64_t v = 0;
-    cluster_->transport(id).post_wait([&] { v = stores_[i]->applied_commands(); });
-    total += v;
-  }
-  return total;
+  return sum_live<std::uint64_t>(
+      [this](std::size_t i) { return stores_[i]->applied_commands(); });
 }
 
 }  // namespace fsr

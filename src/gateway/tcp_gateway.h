@@ -1,18 +1,20 @@
 // Client-facing TCP service for the gateway: each replica runs a
-// GatewayServer fronting its Gateway with a small fleet of epoll event-loop
-// threads. Every loop owns a shard of the connections (edge-triggered
-// nonblocking reads and writes, per-connection outbound queues with
-// partial-write resume) and marshals decoded client messages onto the
-// replica's transport I/O thread in per-drain batches — the Gateway itself
-// stays single-threaded, exactly like the protocol stack beneath it, and
-// each drain batch ends with one flush_coalesced() so requests that arrived
-// together ride one broadcast envelope. Replies route back to the owning
-// loop over a mutex+eventfd inbox and are batched into multi-message client
-// frames per connection.
+// GatewayServer fronting its Gateway with a small fleet of event loops, each
+// a Reactor (transport/reactor.h) on its own thread. Every loop owns a shard
+// of the connections (edge-triggered nonblocking reads and writes,
+// per-connection scatter-gather outboxes with partial-write resume) and
+// marshals decoded client messages onto the replica's transport I/O thread
+// in per-drain batches — the Gateway itself stays single-threaded, exactly
+// like the protocol stack beneath it, and each drain batch ends with one
+// flush_coalesced() so requests that arrived together ride one broadcast
+// envelope. Accepted sockets and replies reach their loop by
+// Reactor::post(); a loop packs the replies of one iteration into one
+// multi-message client frame per connection, flushed from its
+// end-of-iteration hook.
 //
 // Thread-safety is compile-time: each loop's connection shard is guarded by
-// that loop's ThreadRole capability; the only cross-thread surfaces are the
-// inbox (Mutex) and the eventfd wake.
+// that loop's reactor role; Reactor::post() is the only cross-thread
+// surface.
 //
 // TcpGatewayCluster assembles the whole replicated service over real
 // sockets: TcpCluster (n GroupMembers) + per-node KvStore + Gateway +
@@ -21,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
@@ -33,6 +34,7 @@
 #include "gateway/gateway.h"
 #include "gateway/shard_router.h"
 #include "harness/tcp_cluster.h"
+#include "transport/reactor.h"
 
 namespace fsr {
 
@@ -81,69 +83,46 @@ class GatewayServer {
   std::size_t open_connections() const;
 
  private:
-  /// One epoll shard: a thread, its wake eventfd, and the connections it
-  /// owns. Loop state is a compile-time capability of the loop's role; the
-  /// inbox is the only cross-thread surface.
+  struct Conn : StreamConn {
+    std::uint64_t serial = 0;
+    std::set<std::uint64_t> clients_seen;
+  };
+
+  /// One event-loop shard: a Reactor and the connections it owns.
   class EventLoop {
    public:
     EventLoop(GatewayServer& server, std::size_t index);
-    ~EventLoop();
 
-    void start();
-    /// Ask the loop to exit and join it (idempotent).
-    void stop_join();
-
-    /// Cross-thread: hand a freshly accepted socket to this shard.
-    void adopt_fd(int fd, std::uint64_t serial);
+    Reactor& reactor() { return reactor_; }
+    /// Stop the loop, close its connections and drop their state.
+    void stop();
+    /// Before start(): own the listener and deal accepted sockets out
+    /// round-robin (loop 0).
+    void listen(int listen_fd);
     /// Cross-thread: queue a reply for the connection with this serial
     /// (dropped if it died) — called from the transport I/O thread.
-    void queue_reply(std::uint64_t serial, const ClientReply& r);
-
-    std::size_t open_connections() const;
+    void post_reply(std::uint64_t serial, const ClientReply& r);
+    std::size_t open_connections() const { return open_conns_.load(); }
 
    private:
-    struct Conn {
-      int fd = -1;
-      std::uint64_t serial = 0;
-      ChunkBuffer rx;
-      std::deque<Bytes> outbox;
-      std::size_t out_off = 0;       ///< bytes of outbox.front() already sent
-      std::size_t outbox_bytes = 0;  ///< total queued outbound bytes
-      std::set<std::uint64_t> clients_seen;
-    };
-
-    void run();
-    void wake();
-    void drain_inbox() FSR_REQUIRES(role_);
-    void accept_ready() FSR_REQUIRES(role_);
-    void add_conn(int fd, std::uint64_t serial) FSR_REQUIRES(role_);
-    void handle_readable(Conn& c) FSR_REQUIRES(role_);
-    void handle_writable(Conn& c) FSR_REQUIRES(role_);
+    void accept_ready(int listen_fd) FSR_REQUIRES(reactor_.role());
+    void add_conn(int fd, std::uint64_t serial) FSR_REQUIRES(reactor_.role());
+    void handle_readable(Conn& c, std::uint32_t events) FSR_REQUIRES(reactor_.role());
     /// Parse every complete frame in the rx buffer and post the decoded
     /// messages to the gateway as ONE I/O-thread closure per drain.
-    bool parse_frames(Conn& c) FSR_REQUIRES(role_);
-    void enqueue_frame(Conn& c, Bytes frame) FSR_REQUIRES(role_);
-    void flush_replies(std::vector<std::pair<std::uint64_t, ClientReply>> replies)
-        FSR_REQUIRES(role_);
-    void close_conn(Conn& c, bool notify_gateway) FSR_REQUIRES(role_);
+    void parse_frames(Conn& c) FSR_REQUIRES(reactor_.role());
+    void enqueue_frame(Conn& c, Bytes frame) FSR_REQUIRES(reactor_.role());
+    void flush_replies() FSR_REQUIRES(reactor_.role());  // the iteration hook
+    void close_conn(Conn& c, bool notify_gateway) FSR_REQUIRES(reactor_.role());
 
     GatewayServer& server_;
     const std::size_t index_;
-    ThreadRole role_;
-    int epoll_fd_ = -1;
-    int wake_fd_ = -1;
-    Thread thread_;
-
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_
-        FSR_GUARDED_BY(role_);
-    bool stop_requested_ FSR_GUARDED_BY(role_) = false;
-
-    mutable Mutex inbox_mutex_;
-    std::vector<std::function<void()>> tasks_ FSR_GUARDED_BY(inbox_mutex_);
-    std::vector<std::pair<std::uint64_t, ClientReply>> pending_replies_
-        FSR_GUARDED_BY(inbox_mutex_);
-    bool wake_pending_ FSR_GUARDED_BY(inbox_mutex_) = false;
-    std::size_t open_conns_published_ FSR_GUARDED_BY(inbox_mutex_) = 0;
+    std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_
+        FSR_GUARDED_BY(reactor_.role());
+    std::vector<std::pair<std::uint64_t, ClientReply>> replies_
+        FSR_GUARDED_BY(reactor_.role());  // this iteration's, not yet framed
+    std::atomic<std::size_t> open_conns_{0};
+    Reactor reactor_{"GatewayServer::loop"};  // last: its thread uses the state above
   };
 
   friend class EventLoop;
@@ -151,12 +130,11 @@ class GatewayServer {
   TcpTransport& io_;
   ShardRouter& router_;
   GatewayServerConfig cfg_;
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_serial_{1};
   std::atomic<std::size_t> next_loop_{0};
-  /// shared_ptr: reply closures posted to the transport capture their loop,
+  /// shared_ptr: the reply callbacks handed to the gateway hold their loop,
   /// so a loop outlives any reply still in flight after stop().
   std::vector<std::shared_ptr<EventLoop>> loops_;
 };
@@ -222,6 +200,11 @@ class TcpGatewayCluster {
   std::string check_invariants() const { return cluster_->check_invariants(); }
 
  private:
+  /// Sum read(node index) over the live nodes, each read on its node's I/O
+  /// thread.
+  template <typename T, typename Fn>
+  T sum_live(Fn read) const;
+
   std::unique_ptr<TcpCluster> cluster_;
   GroupId shards_ = 1;
   std::vector<std::unique_ptr<KvStore>> stores_;

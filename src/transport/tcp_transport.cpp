@@ -1,19 +1,15 @@
 #include "transport/tcp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "proto/codec.h"
@@ -22,41 +18,20 @@ namespace fsr {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 /// recv() chunk granularity; the ChunkBuffer always offers at least this much
 /// writable tail so a drain needs few syscalls.
 constexpr std::size_t kRecvChunk = 64 * 1024;
 
-/// Max iovec entries per sendmsg. Linux caps at IOV_MAX (1024); 64 frames per
-/// syscall is already far past the point of diminishing returns.
-constexpr std::size_t kMaxIov = 64;
-
 }  // namespace
 
-TcpTransport::TcpTransport(TcpConfig config) : cfg_(std::move(config)) {}
-
-TcpTransport::~TcpTransport() {
-  stop();
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+TcpTransport::TcpTransport(TcpConfig config) : cfg_(std::move(config)) {
+  reactor_.set_iteration_hook([this] {
+    reactor_.role().assert_held();  // lambda: runs at the end of each iteration
+    flush_marked();
+  });
 }
 
-Time TcpTransport::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+TcpTransport::~TcpTransport() { stop(); }
 
 void TcpTransport::set_peer_port(NodeId peer, std::uint16_t port) {
   assert(!running_.load() && "set_peer_port is a pre-start bootstrap call");
@@ -71,114 +46,38 @@ void TcpTransport::bind() {
   for (const auto& p : cfg_.peers) {
     if (p.id == cfg_.self) me = &p;
   }
-  assert(me && "self must appear in the peer list");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  assert(listen_fd_ >= 0);
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(me->port);
-  ::inet_pton(AF_INET, me->host.c_str(), &addr.sin_addr);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    FSR_ERROR("node %u: bind to %s:%u failed: %s", cfg_.self, me->host.c_str(),
-              me->port, std::strerror(errno));  // NOLINT(concurrency-mt-unsafe): pre-start, single-threaded
-    assert(false && "bind failed");
-  }
-  ::listen(listen_fd_, 16);
-  set_nonblocking(listen_fd_);
-
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  bound_port_ = ntohs(bound.sin_port);
-
-  // The wake pipe outlives stop(): application threads may still post()
-  // against a stopped transport (e.g. a harness crash() racing a broadcast),
-  // and writing to a closed — possibly reused — fd would corrupt whoever
-  // owns it now. It is created once and closed only in the destructor.
-  if (wake_pipe_[0] < 0) {
-    if (::pipe(wake_pipe_) != 0) assert(false && "pipe failed");
-    set_nonblocking(wake_pipe_[0]);
-    set_nonblocking(wake_pipe_[1]);
-  }
+  if (me == nullptr) throw std::invalid_argument("TcpTransport: self is not in the peer list");
+  Listener l = listen_tcp(me->host, me->port, 16);
+  listen_fd_ = l.fd;
+  bound_port_ = l.port;
+  // Single-threaded setup: no loop thread exists yet to contend the role.
+  ThreadRoleRegion io(reactor_.role());
+  reactor_.watch(listen_fd_, [this](std::uint32_t) {
+    reactor_.role().assert_held();  // lambda: a reactor handler
+    accept_new();
+  });
 }
 
 void TcpTransport::start() {
   bind();
   running_.store(true);
-  io_dead_.store(false);
-  io_thread_ = Thread([this] { io_loop(); });
+  reactor_.start();
 }
 
 void TcpTransport::stop() {
-  if (io_role_.held_by_me()) {
+  if (reactor_.role().held_by_me()) {
     sync_fatal("stop() called from the transport's own I/O thread", "TcpTransport");
   }
   if (!running_.exchange(false)) return;
-  char b = 1;
-  [[maybe_unused]] ssize_t w = ::write(wake_pipe_[1], &b, 1);
-  if (io_thread_.joinable()) io_thread_.join();
-  // Run closures that were posted but never reached the I/O thread: a
-  // post_wait() racing this stop() would otherwise block forever. io_dead_
-  // is published only after the join, so post-stop drainers (here and in
-  // post()) are ordered after every I/O-thread access to the engine.
-  io_dead_.store(true);
-  // The I/O thread is gone; adopt its role for the final drain and the
-  // socket teardown. drain_mutex_ keeps post()-side drainers out, so the
-  // role is never contended.
-  RecursiveMutexLock drain_lock(drain_mutex_);
-  ThreadRoleRegion io(io_role_);
-  drain_posted();
-  for (auto& c : conns_) {
-    if (c.fd >= 0) {
-      FSR_DEBUG("node %u: stop() closing fd=%d peer=%d", cfg_.self, c.fd,
-               c.peer == kNoNode ? -1 : (int)c.peer);
-      ::close(c.fd);
-    }
-    pending_tx_bytes_ -= c.outbox_bytes;
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-}
-
-void TcpTransport::post(std::function<void()> fn) {
-  bool was_empty;
-  {
-    MutexLock lock(post_mutex_);
-    was_empty = posted_.empty();
-    posted_.push_back(std::move(fn));
-  }
-  // One wakeup byte per empty->non-empty transition: drain_posted() empties
-  // the whole queue per wakeup, so further bytes would only add syscalls.
-  if (was_empty) {
-    char b = 1;
-    [[maybe_unused]] ssize_t w = ::write(wake_pipe_[1], &b, 1);
-  }
-  // No I/O thread left to run the closure: drain it ourselves. If io_dead_
-  // still reads false here, stop()'s own drain (which runs after it is set
-  // and loops until the queue is empty) is guaranteed to pick our closure
-  // up — the shared post_mutex_ orders the two cases.
-  if (io_dead_.load()) drain_stopped();
-}
-
-void TcpTransport::post_wait(std::function<void()> fn) {
-  if (io_role_.held_by_me()) {
-    sync_fatal("post_wait() called from the I/O thread it would wait on", "TcpTransport");
-  }
-  Mutex m;
-  CondVar cv;
-  bool done = false;
-  post([&] {
-    fn();
-    MutexLock lock(m);
-    done = true;
-    cv.notify_one();
+  // Joins the loop, runs closures that were posted but never reached it (a
+  // post_wait() racing this stop() would otherwise block forever; their
+  // sends are dropped) and closes every socket.
+  reactor_.stop();
+  reactor_.post([this] {
+    reactor_.role().assert_held();  // lambda: drained inline, the loop is gone
+    for (auto& [peer, c] : out_conns_) pending_tx_bytes_ -= c->outbox_bytes;
+    out_conns_.clear();
   });
-  MutexLock lock(m);
-  cv.wait(m, [&] { return done; });
 }
 
 // --- Transport interface ---
@@ -187,8 +86,9 @@ void TcpTransport::check_io_call(const char* what) const {
   // The GroupMember/Engine constructors arm timers on the constructing
   // thread before start(): that single-threaded setup phase is the one
   // legitimate role-free caller. Anywhere else, the Transport-interface
-  // entry points must run under io_role_ (I/O thread or post-stop drain).
-  if (!io_role_.held_by_me() && running_.load()) {
+  // entry points must run under the I/O role (loop thread or post-stop
+  // drain).
+  if (!reactor_.role().held_by_me() && running_.load()) {
     sync_fatal(what, "TcpTransport: Transport call off the I/O thread");
   }
 }
@@ -273,27 +173,28 @@ void TcpTransport::send(Frame frame) {
   if (!running_.load()) return;
   frame.from = cfg_.self;
   NodeId to = frame.to;
-  std::ptrdiff_t ci = outgoing_conn_idx(to);
-  if (ci < 0 && std::find(down_.begin(), down_.end(), to) != down_.end()) return;
+  auto it = out_conns_.find(to);
+  if (it == out_conns_.end() && is_down(to)) return;
   EncodedFrame wire = encode_for_wire(frame);
   ++counters_.tx_frames;
-  if (ci < 0) {
-    if (!connect_peer(to)) {
+  if (it == out_conns_.end()) {
+    // While a reconnect backoff is armed, frames wait for it in order.
+    if (retry_pending_.count(to) > 0 || !connect_peer(to)) {
       // connect_peer may have just declared the peer down — don't resurrect
       // its unsent queue.
-      if (std::find(down_.begin(), down_.end(), to) != down_.end()) return;
+      if (is_down(to)) return;
       pending_tx_bytes_ += wire.bytes;
       unsent_.push_back({to, std::move(wire)});
       if (!tx_idle()) busy_ = true;
       return;
     }
-    ci = outgoing_conn_idx(to);
+    it = out_conns_.find(to);
   }
-  enqueue_chunks(conns_[static_cast<std::size_t>(ci)], std::move(wire));
+  enqueue_chunks(*it->second, std::move(wire));
   if (!tx_idle()) busy_ = true;
   // No eager write: the frame is flushed — coalesced with everything else
-  // queued this loop iteration — by flush_marked() before the next poll.
-  mark_for_flush(static_cast<std::size_t>(ci));
+  // queued this loop iteration — by flush_marked() at the iteration's end.
+  mark_for_flush(*it->second);
 }
 
 bool TcpTransport::tx_idle() const {
@@ -303,60 +204,56 @@ bool TcpTransport::tx_idle() const {
 
 TimerId TcpTransport::set_timer(Time delay, std::function<void()> fn) {
   check_io_call("set_timer");
-  std::uint64_t serial = next_timer_serial_++;
-  timer_heap_.push_back(Timer{now() + delay, serial, std::move(fn)});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerLater{});
-  pending_timers_.insert(serial);
-  return TimerId{serial};
+  return TimerId{reactor_.set_timer(delay, std::move(fn))};
 }
 
 void TcpTransport::cancel_timer(TimerId id) {
   check_io_call("cancel_timer");
-  if (!id.valid()) return;
-  // Lazy deletion: tombstone the serial; the heap entry is dropped when it
-  // reaches the top. Cancelling an already-fired (or unknown) id is a no-op.
-  if (pending_timers_.erase(id.serial_) > 0) cancelled_timers_.insert(id.serial_);
+  if (id.valid()) reactor_.cancel_timer(id.serial_);
 }
 
 // --- internals (I/O thread) ---
 
-std::ptrdiff_t TcpTransport::outgoing_conn_idx(NodeId peer) const {
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    const Conn& c = conns_[i];
-    if (c.outgoing && c.peer == peer && c.fd >= 0) {
-      return static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  return -1;
+bool TcpTransport::is_down(NodeId peer) const {
+  return std::find(down_.begin(), down_.end(), peer) != down_.end();
 }
 
 void TcpTransport::enqueue_chunks(Conn& conn, EncodedFrame&& frame) {
-  conn.outbox_bytes += frame.bytes;
   pending_tx_bytes_ += frame.bytes;
-  for (auto& ch : frame.chunks) conn.outbox.push_back(std::move(ch));
+  for (auto& ch : frame.chunks) conn.push(std::move(ch));
 }
 
-void TcpTransport::mark_for_flush(std::size_t idx) {
-  Conn& c = conns_[idx];
+void TcpTransport::mark_for_flush(Conn& c) {
   if (c.flush_queued) return;
   c.flush_queued = true;
-  flush_pending_.push_back(idx);
+  flush_pending_.push_back(&c);
 }
 
 void TcpTransport::flush_marked() {
   // Runs once per loop iteration: every frame queued during the iteration
   // leaves in as few sendmsg calls as the iovec cap allows. Callbacks fired
   // from handle_writable (on_tx_ready) may queue more — keep going until no
-  // connection is marked, so nothing waits a full poll timeout.
+  // connection is marked, so nothing waits for the next wakeup. Marked
+  // conns closed this iteration are still alive: the reactor frees their
+  // handlers only after this hook.
   while (!flush_pending_.empty()) {
-    std::vector<std::size_t> pending;
+    std::vector<Conn*> pending;
     pending.swap(flush_pending_);
-    for (std::size_t idx : pending) {
-      if (idx >= conns_.size()) continue;
-      conns_[idx].flush_queued = false;
-      if (conns_[idx].fd >= 0 && !conns_[idx].outbox.empty()) handle_writable(idx);
+    for (Conn* c : pending) {
+      c->flush_queued = false;
+      if (c->fd >= 0 && !c->outbox.empty()) handle_writable(*c);
     }
   }
+}
+
+void TcpTransport::add_conn(const std::shared_ptr<Conn>& c) {
+  // The handler holds the connection: inbound conns live exactly as long as
+  // their watch, and a handler that closes its own conn stays valid.
+  reactor_.watch(c->fd, [this, c](std::uint32_t events) {
+    reactor_.role().assert_held();  // lambda: a reactor handler
+    if (events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) handle_readable(*c, events);
+    if (c->fd >= 0 && (events & EPOLLOUT) && !c->outbox.empty()) handle_writable(*c);
+  });
 }
 
 bool TcpTransport::connect_peer(NodeId peer) {
@@ -366,9 +263,8 @@ bool TcpTransport::connect_peer(NodeId peer) {
   }
   if (!target) return false;
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return false;
-  set_nonblocking(fd);
   set_nodelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -378,37 +274,56 @@ bool TcpTransport::connect_peer(NodeId peer) {
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
     // Schedule a retry; report down after the budget is exhausted.
-    int attempts = ++connect_attempts_[peer];
-    if (attempts > cfg_.connect_retries) {
+    if (++connect_attempts_[peer] > cfg_.connect_retries) {
       report_peer_down(peer);
-    } else {
-      reconnect_at_[peer] = now() + cfg_.connect_retry_delay;
+    } else if (retry_pending_.insert(peer).second) {
+      reactor_.set_timer(cfg_.connect_retry_delay, [this, peer] {
+        reactor_.role().assert_held();  // lambda: a reactor timer
+        retry_connect(peer);
+      });
     }
     return false;
   }
   FSR_DEBUG("node %u: connect to peer %u fd=%d", cfg_.self, peer, fd);
-  Conn c;
-  c.fd = fd;
-  c.peer = peer;
-  c.outgoing = true;
-  c.hello_done = true;  // hello is the first thing in the outbox
+  auto c = std::make_shared<Conn>();
+  c->fd = fd;
+  c->peer = peer;
+  c->outgoing = true;
+  c->hello_done = true;  // hello is the first thing in the outbox
   OutChunk hello;
   hello.own.resize(4);
   for (int i = 0; i < 4; ++i) {
     hello.own[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(cfg_.self >> (8 * i));
   }
-  c.outbox_bytes = hello.own.size();
   pending_tx_bytes_ += hello.own.size();
-  c.outbox.push_back(std::move(hello));
-  conns_.push_back(std::move(c));
+  c->push(std::move(hello));
+  out_conns_[peer] = c;
+  add_conn(c);
   return true;
 }
 
+void TcpTransport::retry_connect(NodeId peer) {
+  retry_pending_.erase(peer);
+  if (is_down(peer) || out_conns_.count(peer) > 0 || !connect_peer(peer)) return;
+  // Move frames that were waiting for the connection into its outbox
+  // (their bytes are already in pending_tx_bytes_).
+  Conn& c = *out_conns_[peer];
+  for (auto it = unsent_.begin(); it != unsent_.end();) {
+    if (it->first == peer) {
+      pending_tx_bytes_ -= it->second.bytes;
+      enqueue_chunks(c, std::move(it->second));
+      it = unsent_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  mark_for_flush(c);
+}
+
 void TcpTransport::report_peer_down(NodeId peer) {
-  if (std::find(down_.begin(), down_.end(), peer) != down_.end()) return;
+  if (is_down(peer)) return;
   down_.push_back(peer);
-  reconnect_at_.erase(peer);
   for (auto it = unsent_.begin(); it != unsent_.end();) {
     if (it->first == peer) {
       pending_tx_bytes_ -= it->second.bytes;
@@ -430,66 +345,45 @@ void TcpTransport::maybe_tx_ready() {
 }
 
 void TcpTransport::accept_new() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
+  for (int fd; (fd = accept_stream(listen_fd_)) >= 0;) {
     FSR_DEBUG("node %u: accepted fd=%d", cfg_.self, fd);
-    set_nonblocking(fd);
-    set_nodelay(fd);
-    Conn c;
-    c.fd = fd;
-    c.outgoing = false;
-    conns_.push_back(std::move(c));
+    auto c = std::make_shared<Conn>();
+    c->fd = fd;
+    add_conn(c);
   }
 }
 
-void TcpTransport::handle_readable(std::size_t idx) {
-  for (;;) {
-    Conn& c = conns_[idx];
-    std::uint64_t copied_before = counters_.rx_compaction_bytes;
-    auto buf = c.read_buf.writable(kRecvChunk, &counters_.rx_compaction_bytes);
-    if (counters_.rx_compaction_bytes != copied_before) ++counters_.rx_compactions;
-    ssize_t n = ::recv(c.fd, buf.data(), buf.size(), 0);
-    if (n > 0) {
-      c.read_buf.commit(static_cast<std::size_t>(n));
-      ++counters_.rx_syscalls;
-      counters_.rx_bytes += static_cast<std::uint64_t>(n);
-      // A short read means the socket buffer is drained (level-triggered
-      // poll re-arms if more arrives); a full read may leave bytes behind.
-      if (static_cast<std::size_t>(n) == buf.size()) continue;
-      break;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+void TcpTransport::handle_readable(Conn& c, std::uint32_t events) {
+  const bool open = c.receive(kRecvChunk, events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR), &counters_);
+  // Frames that arrived ahead of an EOF are still delivered.
+  parse_frames(c);
+  if (!open) {
     // EOF or error: in a crash-stop cluster an unexpected close is a crash.
-    FSR_DEBUG("node %u: conn to peer %u readable fault (n=%zd errno=%d %s out=%d)",
-             cfg_.self, c.peer, n, n < 0 ? errno : 0,
-             n < 0 ? std::strerror(errno) : "EOF", c.outgoing ? 1 : 0);  // NOLINT(concurrency-mt-unsafe): diagnostics only; errno text may be imprecise under races
-    close_conn(idx, /*peer_fault=*/true);
-    return;
+    FSR_DEBUG("node %u: conn to peer %u readable fault (out=%d)", cfg_.self, c.peer,
+              c.outgoing ? 1 : 0);
+    close_conn(c, /*peer_fault=*/true);
   }
+}
 
-  // The frame handler may open connections (growing conns_ and invalidating
-  // references), so conns_[idx] is re-resolved on every access. The chunk
-  // storage itself never moves, so spans into it stay valid throughout.
-  if (!conns_[idx].hello_done) {
-    auto data = conns_[idx].read_buf.readable();
+void TcpTransport::parse_frames(Conn& c) {
+  if (!c.hello_done) {
+    auto data = c.rx.readable();
     if (data.size() < 4) return;
     NodeId peer = 0;
     for (int i = 0; i < 4; ++i) {
       peer |= static_cast<NodeId>(data[static_cast<std::size_t>(i)]) << (8 * i);
     }
-    conns_[idx].peer = peer;
-    conns_[idx].hello_done = true;
-    conns_[idx].read_buf.consume(4);
+    c.peer = peer;
+    c.hello_done = true;
+    c.rx.consume(4);
   }
   // One owner handle for every frame parsed out of this drain: payloads
-  // decoded below alias the chunk and share its ownership (zero-copy).
-  auto owner = conns_[idx].read_buf.owner();
+  // decoded below alias the chunk and share its ownership (zero-copy). The
+  // chunk storage never moves, so spans into it stay valid throughout.
+  auto owner = c.rx.owner();
+  auto data = c.rx.readable();
   std::size_t pos = 0;
-  for (;;) {
-    if (conns_[idx].fd < 0) break;  // closed mid-parse
-    auto data = conns_[idx].read_buf.readable();
-    if (data.size() - pos < 4) break;
+  while (c.fd >= 0 && data.size() - pos >= 4) {  // stop if closed mid-parse
     std::uint32_t len = 0;
     for (int i = 0; i < 4; ++i) {
       len |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
@@ -497,8 +391,8 @@ void TcpTransport::handle_readable(std::size_t idx) {
     }
     if (len > 64u * 1024 * 1024) {
       FSR_WARN("node %u: insane frame length %u from peer %d", cfg_.self, len,
-               conns_[idx].peer == kNoNode ? -1 : (int)conns_[idx].peer);
-      close_conn(idx, true);  // insane length: corrupted stream
+               c.peer == kNoNode ? -1 : (int)c.peer);
+      close_conn(c, true);  // insane length: corrupted stream
       return;
     }
     if (data.size() - pos - 4 < len) break;
@@ -513,239 +407,41 @@ void TcpTransport::handle_readable(std::size_t idx) {
     } catch (const CodecError& e) {
       FSR_WARN("node %u: dropping connection after codec error: %s", cfg_.self,
                e.what());
-      close_conn(idx, true);
+      close_conn(c, true);
       return;
     }
   }
-  conns_[idx].read_buf.consume(pos);
+  c.rx.consume(pos);
 }
 
-void TcpTransport::handle_writable(std::size_t idx) {
-  Conn& c = conns_[idx];
-  while (!c.outbox.empty()) {
-    // Gather up to kMaxIov outbox chunks — typically many frames — into a
-    // single sendmsg. The first chunk may already be partially written.
-    iovec iov[kMaxIov];
-    std::size_t niov = 0;
-    std::size_t batch_bytes = 0;
-    for (auto it = c.outbox.begin(); it != c.outbox.end() && niov < kMaxIov; ++it) {
-      const std::uint8_t* base = it->data();
-      std::size_t len = it->size();
-      if (niov == 0) {
-        base += c.out_offset;
-        len -= c.out_offset;
-      }
-      iov[niov].iov_base = const_cast<std::uint8_t*>(base);
-      iov[niov].iov_len = len;
-      batch_bytes += len;
-      ++niov;
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = niov;
-    ssize_t n = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOTCONN ||
-          errno == EINPROGRESS) {
-        return;  // poll will tell us when to continue
-      }
-      FSR_DEBUG("node %u: conn to peer %u writable fault (errno=%d %s)", cfg_.self,
-               c.peer, errno, std::strerror(errno));  // NOLINT(concurrency-mt-unsafe): diagnostics only
-      close_conn(idx, true);
-      return;
-    }
-    ++counters_.tx_syscalls;
-    counters_.tx_bytes += static_cast<std::uint64_t>(n);
-    counters_.tx_chunks += niov;
-    counters_.tx_max_batch = std::max<std::uint64_t>(counters_.tx_max_batch, niov);
-    c.outbox_bytes -= static_cast<std::size_t>(n);
-    pending_tx_bytes_ -= static_cast<std::size_t>(n);
-    std::size_t left = static_cast<std::size_t>(n);
-    while (left > 0) {
-      std::size_t avail = c.outbox.front().size() - c.out_offset;
-      if (left >= avail) {
-        left -= avail;
-        c.outbox.pop_front();
-        c.out_offset = 0;
-      } else {
-        c.out_offset += left;
-        left = 0;
-      }
-    }
-    if (static_cast<std::size_t>(n) < batch_bytes) return;  // short write: wait for POLLOUT
+void TcpTransport::handle_writable(Conn& c) {
+  const std::size_t before = c.outbox_bytes;
+  const bool ok = c.send_outbox(&counters_);
+  pending_tx_bytes_ -= before - c.outbox_bytes;
+  if (!ok) {
+    FSR_DEBUG("node %u: conn to peer %u writable fault (errno=%d)", cfg_.self, c.peer,
+              errno);
+    close_conn(c, true);
+    return;
   }
-  maybe_tx_ready();
+  if (c.outbox.empty()) maybe_tx_ready();
 }
 
-void TcpTransport::close_conn(std::size_t idx, bool peer_fault) {
-  Conn& c = conns_[idx];
+void TcpTransport::close_conn(Conn& c, bool peer_fault) {
+  if (c.fd < 0) return;
   NodeId peer = c.peer;
-  FSR_DEBUG("node %u: closing conn idx=%zu fd=%d peer=%d out=%d fault=%d", cfg_.self,
-           idx, c.fd, peer == kNoNode ? -1 : (int)peer, c.outgoing ? 1 : 0,
-           peer_fault ? 1 : 0);
-  if (c.fd >= 0) ::close(c.fd);
+  FSR_DEBUG("node %u: closing conn fd=%d peer=%d out=%d fault=%d", cfg_.self, c.fd,
+            peer == kNoNode ? -1 : (int)peer, c.outgoing ? 1 : 0, peer_fault ? 1 : 0);
+  reactor_.close_fd(c.fd);
   c.fd = -1;
   pending_tx_bytes_ -= c.outbox_bytes;
   c.outbox.clear();
   c.outbox_bytes = 0;
   c.out_offset = 0;
+  auto it = out_conns_.find(peer);
+  if (c.outgoing && it != out_conns_.end() && it->second.get() == &c) out_conns_.erase(it);
   if (peer_fault && peer != kNoNode && running_.load()) {
     report_peer_down(peer);
-  }
-}
-
-void TcpTransport::drain_posted() {
-  // Caller holds io_role_: before stop() the I/O thread is the only drainer;
-  // afterwards drain_stopped() serializes drainers and lends them the role,
-  // so engine code never runs in parallel with itself.
-  for (;;) {
-    std::function<void()> fn;
-    {
-      MutexLock lock(post_mutex_);
-      if (posted_.empty()) return;
-      fn = std::move(posted_.front());
-      posted_.pop_front();
-    }
-    fn();
-  }
-}
-
-void TcpTransport::drain_stopped() {
-  // Post-stop path only (io_dead_ true). drain_mutex_ is recursive because a
-  // drained closure may itself post() and re-enter; the nested adoption of
-  // io_role_ on the same thread nests too.
-  RecursiveMutexLock drain_lock(drain_mutex_);
-  ThreadRoleRegion io(io_role_);
-  drain_posted();
-}
-
-void TcpTransport::fire_due_timers() {
-  Time t = now();
-  // Collect first: a timer callback may add or cancel timers. The serial
-  // rides along and is re-checked right before invoking, so a callback
-  // cancelling a later timer that is *also* due in this batch still wins.
-  std::vector<std::pair<std::uint64_t, std::function<void()>>> due;
-  while (!timer_heap_.empty()) {
-    const Timer& top = timer_heap_.front();
-    if (cancelled_timers_.erase(top.serial) > 0) {
-      std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerLater{});
-      timer_heap_.pop_back();
-      continue;
-    }
-    if (top.deadline > t) break;
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerLater{});
-    due.emplace_back(timer_heap_.back().serial,
-                     std::move(timer_heap_.back().fn));
-    timer_heap_.pop_back();
-  }
-  for (auto& [serial, fn] : due) {
-    if (pending_timers_.erase(serial) == 0) {
-      // Cancelled after collection: its heap entry is already gone, so the
-      // tombstone left by cancel_timer must go too.
-      cancelled_timers_.erase(serial);
-      continue;
-    }
-    fn();
-  }
-}
-
-Time TcpTransport::next_timer_deadline() {
-  while (!timer_heap_.empty() &&
-         cancelled_timers_.erase(timer_heap_.front().serial) > 0) {
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerLater{});
-    timer_heap_.pop_back();
-  }
-  return timer_heap_.empty() ? Time{-1} : timer_heap_.front().deadline;
-}
-
-void TcpTransport::io_loop() {
-  // This thread *is* the I/O role for as long as the loop runs; stop()
-  // re-adopts it only after the join.
-  ThreadRoleRegion io(io_role_);
-  while (running_.load()) {
-    // Drop closed connections. Safe: flush_pending_ was emptied at the end
-    // of the previous iteration, so no stored index survives the erase.
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const Conn& c) { return c.fd < 0; }),
-                 conns_.end());
-
-    // Retry pending connects whose backoff expired.
-    Time t = now();
-    for (auto it = reconnect_at_.begin(); it != reconnect_at_.end();) {
-      if (it->second <= t) {
-        NodeId peer = it->first;
-        it = reconnect_at_.erase(it);
-        if (connect_peer(peer)) {
-          // Move frames that were waiting for the connection into its
-          // outbox (their bytes are already in pending_tx_bytes_).
-          auto ci = static_cast<std::size_t>(outgoing_conn_idx(peer));
-          for (auto uit = unsent_.begin(); uit != unsent_.end();) {
-            if (uit->first == peer) {
-              pending_tx_bytes_ -= uit->second.bytes;
-              enqueue_chunks(conns_[ci], std::move(uit->second));
-              uit = unsent_.erase(uit);
-            } else {
-              ++uit;
-            }
-          }
-        }
-      } else {
-        ++it;
-      }
-    }
-
-    std::vector<pollfd> fds;
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
-    fds.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& c : conns_) {
-      short events = POLLIN;
-      if (c.outgoing && !c.outbox.empty()) events |= POLLOUT;
-      fds.push_back({c.fd, events, 0});
-    }
-
-    int timeout_ms = 50;
-    Time deadline = next_timer_deadline();
-    if (deadline >= 0) {
-      auto ms = static_cast<int>((deadline - now()) / kMillisecond);
-      timeout_ms = std::max(0, std::min(timeout_ms, ms));
-    }
-    if (!reconnect_at_.empty()) timeout_ms = std::min(timeout_ms, 20);
-
-    ::poll(fds.data(), fds.size(), timeout_ms);
-    if (!running_.load()) break;
-
-    if (fds[0].revents & POLLIN) {
-      char buf[256];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    drain_posted();
-    if (fds[1].revents & POLLIN) accept_new();
-
-    // Note: conns_ may grow during callbacks (new outgoing connections);
-    // only the first `fds.size() - 2` entries correspond to polled fds.
-    std::size_t polled = fds.size() - 2;
-    for (std::size_t i = 0; i < polled && i < conns_.size(); ++i) {
-      short rev = fds[i + 2].revents;
-      if (conns_[i].fd < 0) continue;
-      if (rev & (POLLERR | POLLHUP)) {
-        // Half-closed or reset: try reading what remains, then fault.
-        if (rev & POLLIN) handle_readable(i);
-        if (conns_[i].fd >= 0) {
-          FSR_DEBUG("node %u: conn to peer %u POLLERR/HUP (rev=0x%x out=%d)",
-                   cfg_.self, conns_[i].peer, rev, conns_[i].outgoing ? 1 : 0);
-          close_conn(i, true);
-        }
-        continue;
-      }
-      if (rev & POLLIN) handle_readable(i);
-      if (conns_[i].fd >= 0 && (rev & POLLOUT)) handle_writable(i);
-    }
-
-    fire_due_timers();
-    // Single flush point: everything queued during this iteration —
-    // drained posts, frame handlers, timers — coalesces here.
-    flush_marked();
   }
 }
 

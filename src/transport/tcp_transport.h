@@ -2,16 +2,16 @@
 // implements, backed by TCP sockets (the paper's implementation also ran
 // point-to-point TCP channels on the cluster, Table 1).
 //
-// Threading model: one I/O thread per TcpTransport runs a poll() loop and
-// executes ALL protocol callbacks (on_frame / on_tx_ready / on_peer_down /
-// timers) — the engine and VSC layer stay single-threaded, exactly as on
-// the simulator. Application threads interact via post(), which marshals a
-// closure onto the I/O thread (wakeup through a self-pipe).
+// Threading model: one Reactor (transport/reactor.h) per TcpTransport. Its
+// epoll loop thread executes ALL protocol callbacks (on_frame / on_tx_ready
+// / on_peer_down / timers) — the engine and VSC layer stay single-threaded,
+// exactly as on the simulator. Application threads interact via post(),
+// which marshals a closure onto the loop (eventfd wake).
 //
-// The contract is capability-checked: io_role() is a ThreadRole held by
-// whichever thread is currently allowed to run protocol code — the I/O
-// thread while the transport runs, a post-stop drainer (serialized by
-// drain_mutex_) afterwards. Methods marked FSR_REQUIRES(io_role_) are
+// The contract is capability-checked: io_role() is the reactor's
+// ThreadRole, held by whichever thread is currently allowed to run protocol
+// code — the loop thread while the transport runs, a serialized post-stop
+// drainer afterwards. Methods marked FSR_REQUIRES(io_role) are
 // compile-errors off that thread under Clang wherever the concrete type is
 // visible; calls arriving through the Transport interface are covered by
 // runtime asserts instead (see check_io_call). The single-threaded setup
@@ -23,6 +23,8 @@
 // cannot be (re)established within the configured retries reports the peer
 // down — together with connection resets this approximates the perfect
 // failure detector of the model (§3) well enough for a crash-stop cluster.
+// Everything sent during one loop iteration is flushed together, at the
+// end of the iteration, in as few sendmsg calls as the iovec cap allows.
 #pragma once
 
 #include <atomic>
@@ -30,11 +32,13 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/sync.h"
+#include "transport/reactor.h"
 #include "transport/transport.h"
 
 namespace fsr {
@@ -73,7 +77,8 @@ class TcpTransport final : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   /// Bind + listen (no thread yet). Useful with port 0: read bound_port()
-  /// afterwards and distribute it to the peers before start().
+  /// afterwards and distribute it to the peers before start(). Throws
+  /// std::runtime_error if the address cannot be bound.
   void bind();
 
   /// Update a peer's port before start() (ephemeral-port bootstrap).
@@ -85,54 +90,41 @@ class TcpTransport final : public Transport {
 
   /// Stop the I/O thread and close every socket. Must not be called from
   /// the I/O thread itself (it joins it).
-  void stop() FSR_EXCLUDES(io_role_);
+  void stop() FSR_EXCLUDES(reactor_.role());
 
   /// Run `fn` on the I/O thread (thread-safe; the only correct way to
   /// reach the engine from outside).
-  void post(std::function<void()> fn);
+  void post(std::function<void()> fn) { reactor_.post(std::move(fn)); }
 
   /// Run `fn` on the I/O thread and wait for it to finish. Calling this
   /// from the I/O thread itself would self-deadlock; statically excluded
   /// and checked at runtime.
-  void post_wait(std::function<void()> fn) FSR_EXCLUDES(io_role_);
+  void post_wait(std::function<void()> fn) FSR_EXCLUDES(reactor_.role()) {
+    reactor_.post_wait(std::move(fn));
+  }
 
   std::uint16_t bound_port() const { return bound_port_; }
 
   /// The capability guarding all I/O-thread-only state. Code that reaches
   /// this transport through a type-erased path (a posted closure, the
   /// Transport interface) re-asserts it with io_role().assert_held().
-  ThreadRole& io_role() FSR_RETURN_CAPABILITY(io_role_) { return io_role_; }
+  ThreadRole& io_role() FSR_RETURN_CAPABILITY(reactor_.role()) { return reactor_.role(); }
 
   // --- Transport interface (I/O thread only, except noted) ---
   NodeId self() const override { return cfg_.self; }
-  Time now() const override;
-  void send(Frame frame) override FSR_REQUIRES(io_role_);
-  bool tx_idle() const override FSR_REQUIRES(io_role_);
-  TimerId set_timer(Time delay, std::function<void()> fn) override FSR_REQUIRES(io_role_);
-  void cancel_timer(TimerId id) override FSR_REQUIRES(io_role_);
+  Time now() const override { return Reactor::now(); }
+  void send(Frame frame) override FSR_REQUIRES(reactor_.role());
+  bool tx_idle() const override FSR_REQUIRES(reactor_.role());
+  TimerId set_timer(Time delay, std::function<void()> fn) override
+      FSR_REQUIRES(reactor_.role());
+  void cancel_timer(TimerId id) override FSR_REQUIRES(reactor_.role());
 
  private:
-  /// One element of a connection's outbox chain: either bytes this
-  /// connection owns (frame headers, control messages, small payloads) or a
-  /// reference-counted payload view transmitted without copying.
-  struct OutChunk {
-    Bytes own;
-    Payload ref;
-
-    const std::uint8_t* data() const { return ref ? ref.data() : own.data(); }
-    std::size_t size() const { return ref ? ref.size() : own.size(); }
-  };
-
-  struct Conn {
-    int fd = -1;
+  struct Conn : StreamConn {
     NodeId peer = kNoNode;
     bool outgoing = false;
     bool hello_done = false;
     bool flush_queued = false;  // in flush_pending_ for this loop iteration
-    ChunkBuffer read_buf;
-    std::deque<OutChunk> outbox;  // outgoing connections only
-    std::size_t outbox_bytes = 0;
-    std::size_t out_offset = 0;  // progress within outbox.front()
   };
 
   /// An encoded frame as a chain of chunks, ready to splice into an outbox.
@@ -141,89 +133,53 @@ class TcpTransport final : public Transport {
     std::size_t bytes = 0;
   };
 
-  EncodedFrame encode_for_wire(const Frame& frame) FSR_REQUIRES(io_role_);
+  EncodedFrame encode_for_wire(const Frame& frame) FSR_REQUIRES(reactor_.role());
 
-  void io_loop();  // adopts io_role_ for its whole lifetime
-  void accept_new() FSR_REQUIRES(io_role_);
-  void handle_readable(std::size_t idx) FSR_REQUIRES(io_role_);
-  void handle_writable(std::size_t idx) FSR_REQUIRES(io_role_);
-  void flush_marked() FSR_REQUIRES(io_role_);
-  void mark_for_flush(std::size_t idx) FSR_REQUIRES(io_role_);
-  void close_conn(std::size_t idx, bool peer_fault) FSR_REQUIRES(io_role_);
-  bool connect_peer(NodeId peer) FSR_REQUIRES(io_role_);
-  std::ptrdiff_t outgoing_conn_idx(NodeId peer) const FSR_REQUIRES(io_role_);
-  void enqueue_chunks(Conn& conn, EncodedFrame&& frame) FSR_REQUIRES(io_role_);
-  void drain_posted() FSR_REQUIRES(io_role_);
-  /// Post-stop drain: adopts io_role_ (serialized by drain_mutex_) and runs
-  /// whatever closures remain, so post()/post_wait() callers cannot strand.
-  void drain_stopped();
-  void maybe_tx_ready() FSR_REQUIRES(io_role_);  // fire on_tx_ready once per busy -> idle
-  void fire_due_timers() FSR_REQUIRES(io_role_);
-  Time next_timer_deadline() FSR_REQUIRES(io_role_);  // pops lazily-cancelled heap tops
-  void report_peer_down(NodeId peer) FSR_REQUIRES(io_role_);
+  /// Register a connected (or connecting) socket with the reactor.
+  void add_conn(const std::shared_ptr<Conn>& c) FSR_REQUIRES(reactor_.role());
+  void accept_new() FSR_REQUIRES(reactor_.role());
+  void handle_readable(Conn& c, std::uint32_t events) FSR_REQUIRES(reactor_.role());
+  void parse_frames(Conn& c) FSR_REQUIRES(reactor_.role());
+  void handle_writable(Conn& c) FSR_REQUIRES(reactor_.role());
+  void flush_marked() FSR_REQUIRES(reactor_.role());  // the iteration hook
+  void mark_for_flush(Conn& c) FSR_REQUIRES(reactor_.role());
+  void close_conn(Conn& c, bool peer_fault) FSR_REQUIRES(reactor_.role());
+  bool connect_peer(NodeId peer) FSR_REQUIRES(reactor_.role());
+  /// Backoff timer: reconnect and move the peer's unsent_ frames over.
+  void retry_connect(NodeId peer) FSR_REQUIRES(reactor_.role());
+  void enqueue_chunks(Conn& conn, EncodedFrame&& frame) FSR_REQUIRES(reactor_.role());
+  void maybe_tx_ready() FSR_REQUIRES(reactor_.role());  // fire on_tx_ready once per busy -> idle
+  void report_peer_down(NodeId peer) FSR_REQUIRES(reactor_.role());
+  bool is_down(NodeId peer) const FSR_REQUIRES(reactor_.role());
   /// Runtime backing for the Transport-interface entry points, which reach
-  /// us type-erased: require io_role_ unless this is the single-threaded
+  /// us type-erased: require the role unless this is the single-threaded
   /// setup phase before start() (GroupMember arms its timers there).
   void check_io_call(const char* what) const;
 
   TcpConfig cfg_;
   std::atomic<bool> running_{false};
-  /// False only while the I/O thread may still run closures; set (after the
-  /// join) by stop(). When true, post() drains the queue itself (through
-  /// drain_stopped()) so posted work — and post_wait() callers — cannot
-  /// strand.
-  std::atomic<bool> io_dead_{true};
-  /// Held by the I/O thread for the duration of io_loop(); re-adopted under
-  /// drain_mutex_ by post-stop drainers and by stop()'s teardown.
-  ThreadRole io_role_{"TcpTransport::io"};
-  Thread io_thread_;
-  // Pre-start bootstrap state (bind/set_peer_port run single-threaded before
-  // the I/O thread exists); wake_pipe_[1] is written from any thread and is
-  // created once, closed only in the destructor.
+  // Pre-start bootstrap state (bind/set_peer_port run single-threaded
+  // before the I/O thread exists). The listener fd is owned by reactor_.
   int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::uint16_t bound_port_ = 0;
 
-  Mutex post_mutex_;
-  RecursiveMutex drain_mutex_;  // serializes post-stop closure execution
-  std::deque<std::function<void()>> posted_ FSR_GUARDED_BY(post_mutex_);
-
-  std::vector<Conn> conns_ FSR_GUARDED_BY(io_role_);
-  std::vector<std::size_t> flush_pending_
-      FSR_GUARDED_BY(io_role_);  // conn indices to flush this iteration
-  std::map<NodeId, int> connect_attempts_ FSR_GUARDED_BY(io_role_);
-  std::map<NodeId, Time> reconnect_at_ FSR_GUARDED_BY(io_role_);
+  /// Open outgoing connections; inbound ones are owned by their reactor
+  /// handlers alone.
+  std::map<NodeId, std::shared_ptr<Conn>> out_conns_ FSR_GUARDED_BY(reactor_.role());
+  std::vector<Conn*> flush_pending_
+      FSR_GUARDED_BY(reactor_.role());  // conns to flush this iteration
+  std::map<NodeId, int> connect_attempts_ FSR_GUARDED_BY(reactor_.role());
+  std::set<NodeId> retry_pending_ FSR_GUARDED_BY(reactor_.role());  // backoff armed
   std::deque<std::pair<NodeId, EncodedFrame>> unsent_
-      FSR_GUARDED_BY(io_role_);  // awaiting (re)connect
-  std::vector<NodeId> down_ FSR_GUARDED_BY(io_role_);
+      FSR_GUARDED_BY(reactor_.role());  // awaiting (re)connect
+  std::vector<NodeId> down_ FSR_GUARDED_BY(reactor_.role());
   /// Sum of every connection's outbox_bytes plus all unsent_ frame bytes,
   /// maintained incrementally so tx_idle() is O(1).
-  std::size_t pending_tx_bytes_ FSR_GUARDED_BY(io_role_) = 0;
-  bool busy_ FSR_GUARDED_BY(io_role_) =
+  std::size_t pending_tx_bytes_ FSR_GUARDED_BY(reactor_.role()) = 0;
+  bool busy_ FSR_GUARDED_BY(reactor_.role()) =
       false;  // tx filled past the watermark; announce when it drains
 
-  // Timers: a lazy-deletion binary min-heap. cancel_timer() marks the serial
-  // and the heap drops cancelled entries when they surface at the top, so
-  // set/cancel/fire are all O(log n) instead of the old O(n) vector scans.
-  struct Timer {
-    Time deadline;
-    std::uint64_t serial;
-    std::function<void()> fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      // std::push_heap builds a max-heap; invert for earliest-deadline-first
-      // (serial breaks ties so same-deadline timers fire in creation order).
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.serial > b.serial;
-    }
-  };
-  std::uint64_t next_timer_serial_ FSR_GUARDED_BY(io_role_) = 1;
-  std::vector<Timer> timer_heap_ FSR_GUARDED_BY(io_role_);
-  std::unordered_set<std::uint64_t> pending_timers_
-      FSR_GUARDED_BY(io_role_);  // serials in the heap, not cancelled
-  std::unordered_set<std::uint64_t> cancelled_timers_
-      FSR_GUARDED_BY(io_role_);  // tombstones awaiting pop
+  Reactor reactor_{"TcpTransport::io"};  // last: its thread uses the state above
 };
 
 }  // namespace fsr

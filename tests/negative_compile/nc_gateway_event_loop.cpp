@@ -1,43 +1,19 @@
-// Negative-compilation case: the gateway event-loop shard model. Each epoll
-// loop's connection table is a compile-time capability of that loop's
-// ThreadRole; cross-thread surfaces (adopt_fd, queue_reply) must go through
-// the inbox, never touch the shard directly. A cross-thread method that
-// reaches into the guarded connection map without adopting the role must be
-// rejected by -Werror=thread-safety.
-#include <cstdint>
-#include <deque>
-#include <unordered_map>
-
-#include "common/sync.h"
+// Negative-compilation case: the reactor's role model, as the gateway event
+// loops and the transport use it. A Reactor's watch table and timers
+// are loop-thread state: watch() / set_timer() are FSR_REQUIRES(role).
+// Other threads reach a reactor only through post(). A cross-thread
+// function that arms a timer directly, without adopting the role, races
+// with the loop and must be rejected by -Werror=thread-safety.
+#include "transport/reactor.h"
 
 namespace {
 
-class EventLoop {
- public:
-  struct Conn {
-    int fd = -1;
-    std::deque<int> outbox;
-  };
-
-  void handle_readable(std::uint64_t serial) FSR_REQUIRES(role_) {
-    conns_[serial].outbox.push_back(0);
-  }
-
-  // Cross-thread entry (accept thread hands over a socket). The correct
-  // implementation posts to the inbox and wakes the loop; touching the
-  // shard directly races with the loop thread.
-  void adopt_fd(int fd, std::uint64_t serial) {
-    conns_[serial].fd = fd;  // expected error: requires holding role 'role_'
-  }
-
- private:
-  fsr::ThreadRole role_{"GatewayServer::loop"};
-  std::unordered_map<std::uint64_t, Conn> conns_ FSR_GUARDED_BY(role_);
-};
-
-void use() {
-  EventLoop loop;
-  loop.adopt_fd(3, 1);
+// Cross-thread entry (e.g. the transport I/O thread handing a reply to a
+// gateway loop). The correct version posts the work to the reactor.
+void arm_from_another_thread(fsr::Reactor& loop) {
+  loop.set_timer(0, [] {});  // expected error: requires holding role
 }
 
 }  // namespace
+
+void use(fsr::Reactor& loop) { arm_from_another_thread(loop); }

@@ -3,6 +3,7 @@
 // -Werror=thread-safety — if this file fails, the suite's failures mean
 // nothing (the harness, not the violations, would be broken).
 #include "common/sync.h"
+#include "transport/reactor.h"
 
 namespace {
 
@@ -48,6 +49,16 @@ struct Door {
   }
 };
 
+// Twin of nc_gateway_event_loop: cross-thread work reaches a reactor
+// through post(), and the posted closure re-asserts the loop's role before
+// calling role-only methods.
+void arm_on_loop(fsr::Reactor& loop) {
+  loop.post([&loop] {
+    loop.role().assert_held();
+    loop.set_timer(0, [] {});
+  });
+}
+
 void use() {
   Counter c;
   c.bump();
@@ -63,6 +74,9 @@ void use() {
 
   Door d;
   d.pass();
+
+  fsr::Reactor loop("positive::loop");
+  arm_on_loop(loop);
 
   fsr::Mutex m;
   fsr::CondVar cv;

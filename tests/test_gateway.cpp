@@ -1038,6 +1038,97 @@ TEST(GatewayTcp, SlowLorisWriterDoesNotStallOtherClients) {
   EXPECT_EQ(gc.check_invariants(), "");
 }
 
+// A reply-path slow loris: a client pipelines writes and large reads but
+// never reads a reply. Its outbox hits max_outbox_bytes and the server cuts
+// the connection; the admission budget its requests held drains back to
+// zero, and a well-behaved client on the same event loop keeps completing
+// requests before, during and after the cut.
+TEST(GatewayTcp, NonReadingClientIsCutAtOutboxCap) {
+  TcpGatewayClusterConfig cfg;
+  cfg.server.event_loops = 1;  // both clients share the one loop
+  cfg.server.max_outbox_bytes = 64 * 1024;
+  TcpGatewayCluster gc(cfg);
+  auto eps = gc.endpoints();
+
+  GatewayClient::Options opt;
+  opt.client_id = 72;
+  opt.endpoints = eps;
+  opt.start_index = 0;
+  GatewayClient good(opt);
+  // Every GET of this key answers with 16 KiB. One burst's replies stay
+  // under the cap, so the outbox overflows only once the unread backlog
+  // has filled the socket buffers and kept growing.
+  const std::string big(16 * 1024, 'v');
+  ASSERT_TRUE(good.call(KvStore::encode_put("big", big)).ok);
+  ASSERT_TRUE(good.call(KvStore::encode_put("x", "0")).ok);
+
+  int loris_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(loris_fd, 0);
+  int rcvbuf = 4096;
+  ::setsockopt(loris_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(eps[0].port);
+  ASSERT_EQ(::inet_pton(AF_INET, eps[0].host.c_str(), &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(loris_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  constexpr std::uint64_t kLoris = 71;
+  int step = 0;
+  auto good_step = [&] {
+    auto r = good.call(
+        KvStore::encode_cas("x", std::to_string(step), std::to_string(step + 1)));
+    ASSERT_TRUE(r.ok) << "cas " << step;
+    ASSERT_EQ(str_of(r.reply), "OK") << "cas " << step;
+    ++step;
+  };
+  std::uint64_t seq = 0;
+  bool cut = false;
+  constexpr int kReadsPerBurst = 3;
+  for (int burst = 0; burst < 1024 && !cut; ++burst) {
+    ClientFrame frame;
+    if (burst == 0) {
+      ClientHello hello;
+      hello.client_id = kLoris;
+      frame.msgs.emplace_back(hello);
+    }
+    // Pipelined writes (they hold admission budget until delivered) and
+    // reads whose replies nobody will ever collect.
+    for (int i = 0; i < 2; ++i) {
+      ++seq;
+      frame.msgs.emplace_back(make_request(
+          kLoris, seq, KvStore::encode_put("loris" + std::to_string(seq), "1")));
+    }
+    for (int i = 0; i < kReadsPerBurst; ++i) {
+      ClientRead read;
+      read.client_id = kLoris;
+      read.read_seq = static_cast<std::uint64_t>(burst * kReadsPerBurst + i);
+      read.query = make_payload(KvStore::encode_get("big"));
+      frame.msgs.emplace_back(read);
+    }
+    cut = !gateway_write_frame(loris_fd, frame);
+    good_step();
+  }
+
+  // The server drops the loris: only the well-behaved connection remains,
+  // and every admitted byte is reclaimed.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (gc.server(0).open_connections() != 1 || gc.total_admitted_bytes() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "loris never cut: open=" << gc.server(0).open_connections()
+        << " admitted=" << gc.total_admitted_bytes();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (int i = 0; i < 10; ++i) good_step();
+  ::close(loris_fd);
+
+  ASSERT_TRUE(fingerprints_converge(gc, 10 * kSecond));
+  for (NodeId id = 0; id < cfg.n; ++id) {
+    EXPECT_EQ(gc.store(id).get("x"), std::to_string(step)) << "node " << int(id);
+  }
+  EXPECT_EQ(gc.total_failed_cas(), 0u);
+  EXPECT_EQ(gc.check_invariants(), "");
+}
+
 // The multiplexed pipelined driver end to end: 64 sessions over 4 sockets
 // with 4 commands in flight each — the shape the big benchmark rows use —
 // must complete every request exactly once and demonstrably batch.

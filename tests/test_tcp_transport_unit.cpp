@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -520,6 +522,66 @@ TEST(TcpTransportUnit, PostsRacingStopAllExecuteExactlyOnce) {
   p.t0->stop();  // races the posters: some posts land before, some after
   for (auto& t : posters) t.join();
   EXPECT_EQ(ran.load(), kPosters * kPostsEach);
+}
+
+// A timer due in under a millisecond must put the loop to sleep until it
+// is due, not spin: the wait has the timer's own precision. An idle
+// transport re-arming a 300 us timer stays far below a core and still
+// fires close to the expected rate.
+TEST(TcpTransportUnit, SubMillisecondTimerSleepsInsteadOfSpinning) {
+  Pair p;
+  p.t0->start();
+  constexpr Time kPeriod = 300 * kMicrosecond;
+  std::atomic<int> fires{0};
+  std::atomic<bool> rearm{true};
+  std::function<void()> tick = [&] {
+    p.t0->io_role().assert_held();
+    ++fires;
+    if (rearm.load()) p.t0->set_timer(kPeriod, tick);
+  };
+  auto cpu_now = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return Time{ts.tv_sec} * kSecond + ts.tv_nsec;
+  };
+  p.t0->post([&] {
+    p.t0->io_role().assert_held();
+    p.t0->set_timer(kPeriod, tick);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+  const int fires0 = fires.load();
+  const Time cpu0 = cpu_now();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const Time cpu = cpu_now() - cpu0;
+  const int fired = fires.load() - fires0;
+  const Time wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - wall0)
+                        .count();
+  rearm.store(false);
+  p.t0->stop();
+  const double cores = static_cast<double>(cpu) / static_cast<double>(wall);
+  const double expected = static_cast<double>(wall) / static_cast<double>(kPeriod);
+  EXPECT_LT(cores, 0.5) << "timer wait spins";
+  EXPECT_GE(fired, 0.75 * expected) << "timer fires late";
+}
+
+// A port already in use is a configuration error the caller can handle:
+// bind() throws instead of aborting the process.
+TEST(TcpTransportUnit, BindToTakenPortThrows) {
+  TcpConfig a;
+  a.self = 0;
+  a.peers = {TcpPeer{0, "127.0.0.1", 0}};
+  TcpTransport first(a);
+  first.bind();
+  TcpConfig b = a;
+  b.peers[0].port = first.bound_port();
+  TcpTransport second(b);
+  EXPECT_THROW(second.bind(), std::runtime_error);
+  // The live transport is unaffected.
+  first.start();
+  first.post_wait([] {});
+  first.stop();
 }
 
 }  // namespace

@@ -21,8 +21,9 @@ remaining holes with cheap textual rules that hold on every toolchain:
                      replica. Applies to inline bodies and to out-of-line
                      Class::method definitions whose declaration is annotated.
   R4 guarded-by-ref  Every FSR_GUARDED_BY(x) / FSR_PT_GUARDED_BY(x) argument
-                     must name a Mutex / RecursiveMutex / ThreadRole member
-                     declared in the same file (catches typo'd or stale
+                     must name a Mutex / RecursiveMutex / ThreadRole member,
+                     or the role() of a Reactor member, declared in the same
+                     file (catches typo'd or stale
                      capability names that Clang would silently accept as a
                      new expression).
 
@@ -62,11 +63,14 @@ BLOCKING = re.compile(
     r"\b(?:sleep_for|sleep_until|usleep|post_wait|gateway_read_frame)\s*\(|"
     r"\.\s*join\s*\("
 )
-GUARDED_BY = re.compile(r"FSR_(?:PT_)?GUARDED_BY\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
-CAPABILITY_DECL = re.compile(
-    r"\b(?:Mutex|RecursiveMutex|ThreadRole)\s+([A-Za-z_][A-Za-z0-9_]*)\s*[;{=]"
+# A capability is a member (`role_`) or a reactor's role (`reactor_.role()`).
+GUARDED_BY = re.compile(
+    r"FSR_(?:PT_)?GUARDED_BY\(\s*([A-Za-z_][A-Za-z0-9_]*)(?:\.role\(\))?\s*\)"
 )
-REQUIRES_ROLE = re.compile(r"FSR_REQUIRES\(\s*([A-Za-z_][A-Za-z0-9_:]*(?:\(\))?)\s*\)")
+CAPABILITY_DECL = re.compile(
+    r"\b(?:Mutex|RecursiveMutex|ThreadRole|Reactor)\s+([A-Za-z_][A-Za-z0-9_]*)\s*[;{=]"
+)
+REQUIRES_ROLE = re.compile(r"FSR_REQUIRES\(\s*([A-Za-z_][A-Za-z0-9_:.]*(?:\(\))?)\s*\)")
 ALLOW = re.compile(r"//\s*fsr-lint:\s*allow\((R[1-4])\)\s*(\S.*)?$")
 
 LINE_COMMENT = re.compile(r"//.*$")
@@ -124,7 +128,7 @@ class Linter:
         decl = re.compile(
             r"([A-Za-z_][A-Za-z0-9_]*)\s*\([^;{}]*?\)\s*"
             r"(?:const\s*)?(?:override\s*)?FSR_REQUIRES\(\s*"
-            r"([A-Za-z_][A-Za-z0-9_:]*(?:\(\))?)\s*\)",
+            r"([A-Za-z_][A-Za-z0-9_:.]*(?:\(\))?)\s*\)",
             re.S,
         )
         for m in decl.finditer(text):
@@ -151,7 +155,8 @@ class Linter:
         # names, plus inline definitions carrying the annotation directly.
         defn = re.compile(
             r"(?:[A-Za-z_][A-Za-z0-9_]*\s*::\s*)?(%s)\s*\([^;{}]*?\)\s*"
-            r"(?:const\s*)?(?:override\s*)?(?:FSR_REQUIRES\([^)]*\)\s*)?\{"
+            r"(?:const\s*)?(?:override\s*)?"
+            r"(?:FSR_REQUIRES\((?:[^()]|\(\))*\)\s*)?\{"
             % "|".join(sorted(re.escape(n) for n in annotated))
         ) if annotated else None
         if defn is None:
@@ -190,7 +195,7 @@ class Linter:
                     self.report(
                         rel, i + 1, "R4",
                         f"FSR_GUARDED_BY({name}) does not name a Mutex/"
-                        "RecursiveMutex/ThreadRole declared in this file",
+                        "RecursiveMutex/ThreadRole/Reactor declared in this file",
                     )
 
     def lint_file(self, path: str) -> None:
