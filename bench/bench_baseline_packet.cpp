@@ -5,9 +5,7 @@
 // the sequencer baseline decays like wire/(n-1) while FSR stays flat.
 #include <benchmark/benchmark.h>
 
-#include "baselines/fixed_seq_cluster.h"
-#include "baselines/moving_seq_cluster.h"
-#include "baselines/privilege_cluster.h"
+#include "baselines/cluster.h"
 #include "bench_common.h"
 
 namespace {

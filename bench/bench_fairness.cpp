@@ -6,10 +6,10 @@
 // consecutive run of one sender in the delivery order, and throughput.
 #include <benchmark/benchmark.h>
 
-#include "baselines/privilege_cluster.h"
+#include "baselines/cluster.h"
 #include "bench_common.h"
 #include "common/stats.h"
-#include "roundmodel/fsr_round.h"
+#include "roundmodel/engine_round.h"
 #include "roundmodel/privilege_round.h"
 
 namespace {
@@ -84,17 +84,17 @@ FairnessResult run_packet_fsr(int n) {
   return r;
 }
 
-void BM_FairnessFsrRound(benchmark::State& state) {
+void BM_FairnessEngineRound(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   FairnessResult r;
   for (auto _ : state) {
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     r = run_round_model(proto, n);
   }
   state.counters["throughput"] = r.throughput;
   state.counters["jain"] = r.jain;
 }
-BENCHMARK(BM_FairnessFsrRound)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FairnessEngineRound)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_FairnessPrivilege(benchmark::State& state) {
   int n = 8;
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       "Fairness: two opposed bursty senders, ring of 8 (round model)",
       {"protocol", "throughput", "Jain", "longest run"});
   {
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     auto r = run_round_model(proto, n);
     fsr::bench::print_row({"FSR", fsr::bench::fmt(r.throughput, 3),
                            fsr::bench::fmt(r.jain, 3), std::to_string(r.longest_run)});

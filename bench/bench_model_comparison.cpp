@@ -14,7 +14,8 @@
 //                     receive slots (~1/(n-1));
 //   dest. agreement : per-message agreement costs proposal + acks +
 //                     decision (coordinator receive-bound);
-//   FSR             : >= 1 for every pattern, independent of n, t, k.
+//   FSR             : >= 1 for every pattern, independent of n, t, k (the
+//                     production engine, run through EngineRound).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -22,8 +23,8 @@
 #include "bench_common.h"
 #include "roundmodel/comm_history_round.h"
 #include "roundmodel/dest_agreement_round.h"
+#include "roundmodel/engine_round.h"
 #include "roundmodel/fixed_seq_round.h"
-#include "roundmodel/fsr_round.h"
 #include "roundmodel/moving_seq_round.h"
 #include "roundmodel/privilege_round.h"
 
@@ -36,7 +37,7 @@ enum class Proto { kFsr, kFixed, kMoving, kPrivilege, kCommHistory, kDestAgreeme
 
 std::unique_ptr<Protocol> make_proto(Proto p, int n) {
   switch (p) {
-    case Proto::kFsr: return std::make_unique<FsrRound>(n, 1);
+    case Proto::kFsr: return std::make_unique<EngineRound>(n, 1);
     case Proto::kFixed: return std::make_unique<FixedSeqRound>(n);
     case Proto::kMoving: return std::make_unique<MovingSeqRound>(n, 8);
     case Proto::kPrivilege: return std::make_unique<PrivilegeRound>(n, 1);

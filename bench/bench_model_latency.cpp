@@ -1,11 +1,12 @@
 // §4.3.1: FSR latency in the round model is exactly L(i) = 2n + t - i - 1
-// rounds for a standard sender at ring position i. This bench prints the
+// rounds for a standard sender at ring position i. This bench runs the
+// production engine in the round model (EngineRound) and prints the
 // measured completion round against the formula for a sweep of (n, t, i).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "ring/rules.h"
-#include "roundmodel/fsr_round.h"
+#include "roundmodel/engine_round.h"
 
 namespace {
 
@@ -13,7 +14,7 @@ using namespace fsr;
 using namespace fsr::rounds;
 
 long long measured_latency(int n, int t, int i) {
-  FsrRound proto(n, t);
+  EngineRound proto(n, t);
   RoundEngine engine({n, {i}, 1}, proto);
   engine.run(8 * n + 20);
   if (engine.completed() != 1) return -1;

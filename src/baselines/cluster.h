@@ -1,18 +1,22 @@
-// Simulated cluster fixture for the packet-level fixed-sequencer baseline
-// (mirrors harness/SimCluster for the FSR engine; failure-free).
+// Simulated cluster fixture for the packet-level baseline engines (mirrors
+// harness/SimCluster for the FSR engine; failure-free). One template serves
+// every baseline: they share the engine surface (broadcast / on_frame /
+// on_tx_ready) and the (transport, config, view, deliver) constructor.
 #pragma once
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "baselines/fixed_seq_engine.h"
+#include "baselines/moving_seq_engine.h"
+#include "baselines/privilege_engine.h"
 #include "transport/sim_transport.h"
 
 namespace fsr::baselines {
 
-class FixedSeqCluster {
+template <class EngineT, class ConfigT>
+class BaselineCluster {
  public:
   struct LogEntry {
     NodeId origin = kNoNode;
@@ -21,14 +25,14 @@ class FixedSeqCluster {
     Time at = 0;
   };
 
-  FixedSeqCluster(NetConfig net, std::size_t n, FixedSeqConfig config)
+  BaselineCluster(NetConfig net, std::size_t n, ConfigT config)
       : world_(net, n), logs_(n) {
     View v;
     v.id = 1;
     for (std::size_t i = 0; i < n; ++i) v.members.push_back(static_cast<NodeId>(i));
     for (std::size_t i = 0; i < n; ++i) {
       auto id = static_cast<NodeId>(i);
-      engines_.push_back(std::make_unique<FixedSeqEngine>(
+      engines_.push_back(std::make_unique<EngineT>(
           world_.transport(id), config, v, [this, id](const Delivery& d) {
             logs_[id].push_back(
                 LogEntry{d.origin, d.app_msg, d.payload.size(), world_.sim().now()});
@@ -69,8 +73,12 @@ class FixedSeqCluster {
 
  private:
   SimWorld world_;
-  std::vector<std::unique_ptr<FixedSeqEngine>> engines_;
+  std::vector<std::unique_ptr<EngineT>> engines_;
   std::vector<std::vector<LogEntry>> logs_;
 };
+
+using FixedSeqCluster = BaselineCluster<FixedSeqEngine, FixedSeqConfig>;
+using MovingSeqCluster = BaselineCluster<MovingSeqEngine, MovingSeqConfig>;
+using PrivilegeCluster = BaselineCluster<PrivilegeEngine, PrivilegeConfig>;
 
 }  // namespace fsr::baselines

@@ -4,9 +4,7 @@
 // agreement + liveness), like the FSR fuzzers do for the core engine.
 #include <gtest/gtest.h>
 
-#include "baselines/fixed_seq_cluster.h"
-#include "baselines/moving_seq_cluster.h"
-#include "baselines/privilege_cluster.h"
+#include "baselines/cluster.h"
 #include "common/rng.h"
 #include "harness/sim_cluster.h"
 #include "support/seeded_test.h"

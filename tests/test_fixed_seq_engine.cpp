@@ -3,7 +3,7 @@
 // sequencer's NIC fan-out caps goodput near wire/(n-1), unlike FSR.
 #include <gtest/gtest.h>
 
-#include "baselines/fixed_seq_cluster.h"
+#include "baselines/cluster.h"
 #include "harness/sim_cluster.h"
 
 namespace fsr::baselines {

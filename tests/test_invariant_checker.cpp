@@ -7,7 +7,7 @@
 
 #include "checker/invariant_checker.h"
 #include "checker/trace_lint.h"
-#include "roundmodel/fsr_round.h"
+#include "roundmodel/engine_round.h"
 #include "roundmodel/round_engine.h"
 
 namespace fsr {
@@ -267,19 +267,20 @@ TEST(TraceLint, LoneSenderMayOwnTheWindow) {
 
 // --- round-model latency bound ---
 
-TEST(LatencyBound, FsrRoundModelMeetsAnalyticBound) {
+TEST(LatencyBound, EngineRoundMeetsAnalyticBound) {
   // A single idle-system broadcast from every origin position, for several
-  // (n, t): the measured completion latency must satisfy the paper's
-  // L(i) = 2n + t - i - 1.
+  // (n, t), on the production engine: the measured completion latency must
+  // satisfy the paper's L(i) = 2n + t - i - 1.
   for (int n : {4, 7}) {
     for (int t : {0, 1, 2}) {
       std::vector<RoundLatencySample> samples;
       for (int origin = 0; origin < n; ++origin) {
-        rounds::FsrRound proto(n, t, /*window=*/4);
+        rounds::EngineRound proto(n, t, /*window=*/4);
         rounds::RoundEngine engine({n, {origin}, 1}, proto);
         engine.run(6 * n + 10);
         ASSERT_EQ(engine.completed(), 1) << "n=" << n << " t=" << t << " i=" << origin;
-        samples.push_back({static_cast<Position>(origin), engine.latency(0)});
+        // completion_round is 0-based: L hops occupy rounds 0..L-1.
+        samples.push_back({static_cast<Position>(origin), engine.latency(0) + 1});
       }
       EXPECT_EQ(check_latency_bound(samples, static_cast<std::uint32_t>(n),
                                     static_cast<std::uint32_t>(t)),

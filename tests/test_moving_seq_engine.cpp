@@ -3,8 +3,7 @@
 // sequencer) but still below FSR (every sender fans out n-1 copies).
 #include <gtest/gtest.h>
 
-#include "baselines/fixed_seq_cluster.h"
-#include "baselines/moving_seq_cluster.h"
+#include "baselines/cluster.h"
 #include "harness/sim_cluster.h"
 
 namespace fsr::baselines {

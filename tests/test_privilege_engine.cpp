@@ -3,7 +3,7 @@
 // fair holds are slow for opposed senders, long holds are unfair.
 #include <gtest/gtest.h>
 
-#include "baselines/privilege_cluster.h"
+#include "baselines/cluster.h"
 #include "harness/sim_cluster.h"
 
 namespace fsr::baselines {

@@ -11,8 +11,8 @@
 #include "common/rng.h"
 #include "roundmodel/comm_history_round.h"
 #include "roundmodel/dest_agreement_round.h"
+#include "roundmodel/engine_round.h"
 #include "roundmodel/fixed_seq_round.h"
-#include "roundmodel/fsr_round.h"
 #include "roundmodel/moving_seq_round.h"
 #include "roundmodel/privilege_round.h"
 #include "support/seeded_test.h"
@@ -28,7 +28,7 @@ class ProtocolFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
 std::unique_ptr<Protocol> make(int which, int n, Rng& rng) {
   switch (which) {
-    case 0: return std::make_unique<FsrRound>(n, 1 + static_cast<int>(rng.below(3)));
+    case 0: return std::make_unique<EngineRound>(n, 1 + static_cast<int>(rng.below(3)));
     case 1: return std::make_unique<FixedSeqRound>(n, 4 + static_cast<int>(rng.below(20)));
     case 2: return std::make_unique<MovingSeqRound>(n, 4 + static_cast<int>(rng.below(12)));
     case 3:
@@ -80,7 +80,7 @@ TEST_P(ProtocolFuzzTest, FsrCompletesWithinAnalyticHorizon) {
   long long per_sender = 5 + static_cast<long long>(rng.below(10));
   long long total = static_cast<long long>(senders.size()) * per_sender;
 
-  FsrRound proto(n, t);
+  EngineRound proto(n, t);
   RoundEngine engine({n, senders, per_sender}, proto);
   // Throughput >= 1 plus pipeline fill: everything completes within
   // total + latency-bound + slack rounds.

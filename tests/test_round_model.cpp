@@ -9,8 +9,8 @@
 
 #include "common/stats.h"
 #include "ring/rules.h"
+#include "roundmodel/engine_round.h"
 #include "roundmodel/fixed_seq_round.h"
-#include "roundmodel/fsr_round.h"
 #include "roundmodel/moving_seq_round.h"
 #include "roundmodel/privilege_round.h"
 
@@ -35,19 +35,22 @@ std::vector<int> all_senders(int n) {
 // --- FSR latency (paper §4.3.1) ---
 
 TEST(RoundModelFsr, LatencyMatchesFormulaForStandardSenders) {
+  // Every origin, backups included: L(i) = 2n + t - i - 1 for i >= 1. The
+  // leader's own broadcast has no DATA pass: n + t - 1 rounds.
   for (int n = 3; n <= 12; ++n) {
-    for (int t = 0; t <= 3 && t < n - 1; ++t) {
-      for (int i = t + 1; i < n; ++i) {
-        FsrRound proto(n, t);
+    for (int t = 0; t <= 5 && t < n - 1; ++t) {
+      auto topo = ring::Topology{static_cast<std::uint32_t>(n),
+                                 static_cast<std::uint32_t>(t)};
+      for (int i = 0; i < n; ++i) {
+        EngineRound proto(n, t);
         RoundEngine engine({n, {i}, 1}, proto);
         engine.run(6 * n + 10);
         ASSERT_EQ(engine.completed(), 1) << "n=" << n << " t=" << t << " i=" << i;
-        auto topo = ring::Topology{static_cast<std::uint32_t>(n),
-                                   static_cast<std::uint32_t>(t)};
+        long long expect = i == 0 ? n + t - 1
+                                  : static_cast<long long>(
+                                        topo.analytic_latency(static_cast<Position>(i)));
         // completion_round is 0-based: L hops occupy rounds 0..L-1.
-        EXPECT_EQ(engine.latency(0) + 1,
-                  static_cast<long long>(topo.analytic_latency(static_cast<Position>(i))))
-            << "n=" << n << " t=" << t << " i=" << i;
+        EXPECT_EQ(engine.latency(0) + 1, expect) << "n=" << n << " t=" << t << " i=" << i;
       }
     }
   }
@@ -58,7 +61,7 @@ TEST(RoundModelFsr, LatencyIsLinearInN) {
   // grows by exactly 2 rounds per added process.
   long long prev = -1;
   for (int n = 4; n <= 12; ++n) {
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     RoundEngine engine({n, {2}, 1}, proto);
     engine.run(6 * n + 10);
     ASSERT_EQ(engine.completed(), 1);
@@ -72,7 +75,7 @@ TEST(RoundModelFsr, LatencyIsLinearInN) {
 
 TEST(RoundModelFsr, OneToNThroughputIsOne) {
   for (int n : {3, 5, 8, 10}) {
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     double tp = steady_throughput(proto, {n, {n - 1}, -1});
     EXPECT_GE(tp, 0.99) << "n=" << n;
     EXPECT_LE(tp, 1.01) << "n=" << n;
@@ -81,7 +84,7 @@ TEST(RoundModelFsr, OneToNThroughputIsOne) {
 
 TEST(RoundModelFsr, NToNThroughputIsOne) {
   for (int n : {3, 5, 8, 10}) {
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     double tp = steady_throughput(proto, {n, all_senders(n), -1});
     EXPECT_GE(tp, 0.99) << "n=" << n;
   }
@@ -94,7 +97,7 @@ TEST(RoundModelFsr, KToNThroughputIsOne) {
     int n = 8;
     std::vector<int> senders;
     for (int i = 0; i < k; ++i) senders.push_back(i * (n / k));
-    FsrRound proto(n, 1);
+    EngineRound proto(n, 1);
     double tp = steady_throughput(proto, {n, senders, -1});
     EXPECT_GE(tp, 0.99) << "k=" << k;
   }
@@ -102,7 +105,7 @@ TEST(RoundModelFsr, KToNThroughputIsOne) {
 
 TEST(RoundModelFsr, ThroughputIndependentOfT) {
   for (int t : {0, 1, 2, 3, 4}) {
-    FsrRound proto(8, t);
+    EngineRound proto(8, t);
     double tp = steady_throughput(proto, {8, all_senders(8), -1});
     EXPECT_GE(tp, 0.99) << "t=" << t;
   }
@@ -112,7 +115,7 @@ TEST(RoundModelFsr, FairnessTwoOpposedBurstySenders) {
   // The §2.3 scenario: two senders at opposite sides of the ring. FSR must
   // give them equal shares.
   int n = 8;
-  FsrRound proto(n, 1);
+  EngineRound proto(n, 1);
   RoundEngine engine({n, {2, 6}, -1}, proto);
   engine.run(3000);
   auto by_origin = engine.completed_by_origin();
@@ -125,7 +128,7 @@ TEST(RoundModelFsr, FairnessTwoOpposedBurstySenders) {
 
 TEST(RoundModelFsr, FairnessAllSenders) {
   int n = 6;
-  FsrRound proto(n, 2);
+  EngineRound proto(n, 2);
   RoundEngine engine({n, all_senders(n), -1}, proto);
   engine.run(3000);
   auto by_origin = engine.completed_by_origin();
@@ -231,7 +234,7 @@ TEST(RoundModelPrivilege, LargeHoldIsFastButUnfair) {
   EXPECT_GE(longest_run, 32u);
 
   // FSR under the identical workload interleaves tightly.
-  FsrRound fsr_proto(n, 1);
+  EngineRound fsr_proto(n, 1);
   RoundEngine fsr_engine({n, {2, 6}, -1}, fsr_proto);
   fsr_engine.run(2000);
   const auto& fsr_log = fsr_engine.logs()[0];
@@ -273,7 +276,7 @@ TEST(RoundModelComparison, FsrBeatsAllBaselinesForKToN) {
   int n = 8;
   std::vector<int> senders{2, 6};
 
-  FsrRound fsr_p(n, 1);
+  EngineRound fsr_p(n, 1);
   double fsr_tp = steady_throughput(fsr_p, {n, senders, -1});
 
   FixedSeqRound fixed_p(n);

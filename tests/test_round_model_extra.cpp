@@ -6,7 +6,7 @@
 
 #include "roundmodel/comm_history_round.h"
 #include "roundmodel/dest_agreement_round.h"
-#include "roundmodel/fsr_round.h"
+#include "roundmodel/engine_round.h"
 
 namespace fsr::rounds {
 namespace {
@@ -105,7 +105,7 @@ TEST(RoundModelDestAgreement, CoordinatorReceiveSlotCapsOneToN) {
 
 TEST(RoundModelDestAgreement, WellBelowFsrEverywhere) {
   int n = 6;
-  FsrRound fsr_p(n, 1);
+  EngineRound fsr_p(n, 1);
   DestAgreementRound da_p(n);
   double fsr_tp = steady_throughput(fsr_p, {n, all_senders(n), -1});
   double da_tp = steady_throughput(da_p, {n, all_senders(n), -1});
