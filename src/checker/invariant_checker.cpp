@@ -1,6 +1,7 @@
 #include "checker/invariant_checker.h"
 
 #include <algorithm>
+#include <map>
 
 namespace fsr {
 
@@ -27,7 +28,37 @@ std::vector<const DeliveryRecord*> restrict_log(const std::vector<DeliveryRecord
 }  // namespace
 
 InvariantChecker::InvariantChecker(std::size_t n, CheckerConfig config)
-    : n_(n), cfg_(config), logs_(n), last_app_(n), last_seq_view_(n) {}
+    : n_(n), cfg_(config), logs_(n) {}
+
+InvariantChecker::GroupState& InvariantChecker::group_state(GroupId g) {
+  auto [gs, inserted] = groups_.try_emplace(g);
+  if (inserted) gs.last_seq_view.resize(n_);
+  return gs;
+}
+
+InvariantChecker::OriginState& InvariantChecker::origin_state(GroupState& gs, NodeId origin) {
+  auto [os, inserted] = gs.origins.try_emplace(origin);
+  if (inserted) os.last_app.resize(n_);
+  return os;
+}
+
+const std::uint64_t* InvariantChecker::submitted_hash(GroupId g, NodeId origin,
+                                                      std::uint64_t app_msg) const {
+  const GroupState* gs = groups_.find(g);
+  const OriginState* os = gs ? gs->origins.find(origin) : nullptr;
+  return os ? os->submitted.find(app_msg) : nullptr;
+}
+
+std::optional<GroupId> InvariantChecker::submitted_elsewhere(GroupId g, NodeId origin,
+                                                             std::uint64_t app_msg) const {
+  std::optional<GroupId> found;
+  groups_.for_each([&](std::uint64_t other, const GroupState& gs) {
+    if (found || other == g) return;
+    const OriginState* os = gs.origins.find(origin);
+    if (os && os->submitted.find(app_msg)) found = static_cast<GroupId>(other);
+  });
+  return found;
+}
 
 void InvariantChecker::record_violation(std::string what) {
   if (!first_violation_.empty()) return;
@@ -46,8 +77,9 @@ void InvariantChecker::set_context_provider(std::function<std::string()> fn) {
 void InvariantChecker::on_broadcast(GroupId group, NodeId origin, std::uint64_t app_msg,
                                     std::uint64_t payload_hash) {
   MutexLock lock(mutex_);
-  submitted_[{group, origin, app_msg}] = payload_hash;
-  submitted_groups_[{origin, app_msg}].insert(group);
+  GroupState& gs = group_state(group);
+  gs.submitted_any = true;
+  origin_state(gs, origin).submitted.try_emplace(app_msg).first = payload_hash;
 }
 
 void InvariantChecker::on_delivery(const DeliveryRecord& rec) {
@@ -56,74 +88,71 @@ void InvariantChecker::on_delivery(const DeliveryRecord& rec) {
     record_violation("delivery at unknown node " + std::to_string(rec.node));
     return;
   }
-  auto& log = logs_[rec.node];
-  const std::string where = "node " + std::to_string(rec.node) + " delivering " +
-                            group_tag(rec.group) + " " + describe(rec);
+  // The message prefix is built only when a violation is recorded: this
+  // runs on every delivery of every harness.
+  auto where = [&rec] {
+    return "node " + std::to_string(rec.node) + " delivering " + group_tag(rec.group) + " " +
+           describe(rec);
+  };
+  GroupState& gs = group_state(rec.group);
 
   // Each group's sequence numbers are one namespace for the whole run (the
   // engine resumes next_seq from the recovery horizon on every view
   // install), so a process must observe them strictly increasing *within the
   // group*. Groups are independent domains: no cross-group seq relation.
-  auto [sv, first_in_group] =
-      last_seq_view_[rec.node].try_emplace(rec.group, std::pair{rec.seq, rec.view});
-  if (!first_in_group) {
-    auto& [last_seq, last_view] = sv->second;
-    if (rec.seq <= last_seq) {
-      record_violation(where + ": seq " + std::to_string(rec.seq) +
-                       " not above previous " + std::to_string(last_seq));
+  auto& sv = gs.last_seq_view[rec.node];
+  if (sv) {
+    if (rec.seq <= sv->seq) {
+      record_violation(where() + ": seq " + std::to_string(rec.seq) +
+                       " not above previous " + std::to_string(sv->seq));
     }
-    if (rec.view < last_view) {
-      record_violation(where + ": view regressed " + std::to_string(last_view) +
-                       " -> " + std::to_string(rec.view));
+    if (rec.view < sv->view) {
+      record_violation(where() + ": view regressed " + std::to_string(sv->view) + " -> " +
+                       std::to_string(rec.view));
     }
-    last_seq = rec.seq;
-    last_view = rec.view;
   }
+  sv = SeqView{rec.seq, rec.view};
 
   // All processes must agree on which message each (group, seq) carries —
   // disagreement here IS a total-order violation, caught at the instant the
   // second process delivers.
   Identity id{rec.origin, rec.app_msg, rec.payload_hash};
-  auto [it, inserted] = seq_identity_.try_emplace({rec.group, rec.seq}, id);
-  if (!inserted && !(it->second == id)) {
-    record_violation(where + ": seq " + std::to_string(rec.seq) + " already carried " +
-                     describe_msg(it->second.origin, it->second.app_msg));
+  auto [carried, first_at_seq] = gs.seq_identity.try_emplace(rec.seq);
+  if (first_at_seq) {
+    carried = id;
+  } else if (!(carried == id)) {
+    record_violation(where() + ": seq " + std::to_string(rec.seq) + " already carried " +
+                     describe_msg(carried.origin, carried.app_msg));
   }
 
   // At-most-once per process and per-origin FIFO, online: within a group the
   // origin's counter must move strictly forward (equal or lower = duplicate
   // or reordering). Counters in different groups are unrelated streams.
-  auto [last, first_from_origin] =
-      last_app_[rec.node].try_emplace(std::pair{rec.group, rec.origin}, rec.app_msg);
-  if (!first_from_origin) {
-    if (rec.app_msg <= last->second) {
-      record_violation(where + ": origin counter went backwards (last was " +
-                       describe_msg(rec.origin, last->second) +
-                       "): duplicate or FIFO violation");
-    }
-    last->second = rec.app_msg;
+  OriginState& os = origin_state(gs, rec.origin);
+  auto& last = os.last_app[rec.node];
+  if (last && rec.app_msg <= *last) {
+    record_violation(where() + ": origin counter went backwards (last was " +
+                     describe_msg(rec.origin, *last) + "): duplicate or FIFO violation");
   }
+  last = rec.app_msg;
 
   // Payload integrity against the recorded submission — in this group. A
   // delivery whose identity was only ever submitted in a *different* group
   // is cross-group sequence aliasing: some layer leaked a message across
   // ordering domains (e.g. a mux dispatch bug), which per-group bookkeeping
   // would otherwise mask as a mere unknown broadcast.
-  auto sub = submitted_.find({rec.group, rec.origin, rec.app_msg});
-  if (sub == submitted_.end()) {
-    auto aliased = submitted_groups_.find({rec.origin, rec.app_msg});
-    if (aliased != submitted_groups_.end() && !aliased->second.count(rec.group)) {
-      record_violation(where + ": cross-group aliasing — message was submitted in " +
-                       group_tag(*aliased->second.begin()) + ", not " +
-                       group_tag(rec.group));
+  if (const std::uint64_t* hash = os.submitted.find(rec.app_msg); !hash) {
+    if (auto other = submitted_elsewhere(rec.group, rec.origin, rec.app_msg)) {
+      record_violation(where() + ": cross-group aliasing — message was submitted in " +
+                       group_tag(*other) + ", not " + group_tag(rec.group));
     } else if (cfg_.require_known_broadcasts) {
-      record_violation(where + ": message was never broadcast");
+      record_violation(where() + ": message was never broadcast");
     }
-  } else if (sub->second != rec.payload_hash) {
-    record_violation(where + ": payload hash mismatch");
+  } else if (*hash != rec.payload_hash) {
+    record_violation(where() + ": payload hash mismatch");
   }
 
-  log.push_back(rec);
+  logs_[rec.node].push_back(rec);
   ++deliveries_;
 }
 
@@ -159,7 +188,9 @@ std::vector<DeliveryRecord> InvariantChecker::log(NodeId node, GroupId group) co
 std::set<GroupId> InvariantChecker::groups_seen() const {
   MutexLock lock(mutex_);
   std::set<GroupId> gs;
-  for (const auto& [key, hash] : submitted_) gs.insert(std::get<0>(key));
+  groups_.for_each([&gs](std::uint64_t g, const GroupState& state) {
+    if (state.submitted_any) gs.insert(static_cast<GroupId>(g));
+  });
   for (const auto& log : logs_) {
     for (const auto& e : log) gs.insert(e.group);
   }
@@ -274,19 +305,18 @@ std::string InvariantChecker::check_integrity_locked() const {
         return "node " + std::to_string(n) + " delivered " + group_tag(e.group) + " " +
                describe(e) + " twice";
       }
-      auto it = submitted_.find(key);
-      if (it == submitted_.end()) {
-        auto aliased = submitted_groups_.find({e.origin, e.app_msg});
-        if (aliased != submitted_groups_.end() && !aliased->second.count(e.group)) {
+      const std::uint64_t* hash = submitted_hash(e.group, e.origin, e.app_msg);
+      if (!hash) {
+        if (auto other = submitted_elsewhere(e.group, e.origin, e.app_msg)) {
           return "node " + std::to_string(n) + " delivered " + describe(e) + " in " +
-                 group_tag(e.group) + " but it was submitted in " +
-                 group_tag(*aliased->second.begin()) + " (cross-group aliasing)";
+                 group_tag(e.group) + " but it was submitted in " + group_tag(*other) +
+                 " (cross-group aliasing)";
         }
         if (cfg_.require_known_broadcasts) {
           return "node " + std::to_string(n) + " delivered never-broadcast " +
                  describe(e);
         }
-      } else if (it->second != e.payload_hash) {
+      } else if (*hash != e.payload_hash) {
         return "node " + std::to_string(n) + " delivered corrupted payload for " +
                describe(e);
       }

@@ -27,13 +27,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "checker/dense_table.h"
 #include "common/sync.h"
 #include "common/types.h"
 
@@ -144,6 +145,36 @@ class InvariantChecker {
   /// on the group first.
   using MsgKey = std::tuple<GroupId, NodeId, std::uint64_t>;
 
+  struct SeqView {
+    GlobalSeq seq;
+    ViewId view;
+  };
+
+  /// One (group, origin) message stream.
+  struct OriginState {
+    DenseTable<std::uint64_t> submitted;  // app_msg -> payload hash
+    std::vector<std::optional<std::uint64_t>> last_app;  // per node: last delivered app_msg
+  };
+
+  /// One ordering domain. Every table is indexed by a key the engines hand
+  /// out densely (group id, global seq, origin id, app_msg), so the
+  /// per-delivery checks are index lookups, not tree walks.
+  struct GroupState {
+    bool submitted_any = false;
+    DenseTable<Identity> seq_identity;                // global seq -> message
+    std::vector<std::optional<SeqView>> last_seq_view;  // per node: watermark
+    DenseTable<OriginState> origins;
+  };
+
+  GroupState& group_state(GroupId g) FSR_REQUIRES(mutex_);
+  OriginState& origin_state(GroupState& gs, NodeId origin) FSR_REQUIRES(mutex_);
+  /// Payload hash submitted for (group, origin, app_msg), or nullptr.
+  const std::uint64_t* submitted_hash(GroupId g, NodeId origin, std::uint64_t app_msg) const
+      FSR_REQUIRES(mutex_);
+  /// Lowest group other than `g` in which (origin, app_msg) was submitted.
+  std::optional<GroupId> submitted_elsewhere(GroupId g, NodeId origin,
+                                             std::uint64_t app_msg) const FSR_REQUIRES(mutex_);
+
   void record_violation(std::string what) FSR_REQUIRES(mutex_);
   std::string check_total_order_locked() const FSR_REQUIRES(mutex_);
   std::string check_agreement_locked(const std::set<NodeId>& correct) const FSR_REQUIRES(mutex_);
@@ -159,16 +190,7 @@ class InvariantChecker {
 
   mutable Mutex mutex_;
   std::vector<std::vector<DeliveryRecord>> logs_ FSR_GUARDED_BY(mutex_);
-  std::vector<std::map<std::pair<GroupId, NodeId>, std::uint64_t>> last_app_
-      FSR_GUARDED_BY(mutex_);  // per node: (group, origin) -> app_msg
-  std::vector<std::map<GroupId, std::pair<GlobalSeq, ViewId>>> last_seq_view_
-      FSR_GUARDED_BY(mutex_);  // per node: group -> (seq, view) watermark
-  std::map<MsgKey, std::uint64_t> submitted_
-      FSR_GUARDED_BY(mutex_);  // -> hash
-  std::map<std::pair<NodeId, std::uint64_t>, std::set<GroupId>> submitted_groups_
-      FSR_GUARDED_BY(mutex_);  // which group(s) an identity was submitted in
-  std::map<std::pair<GroupId, GlobalSeq>, Identity> seq_identity_
-      FSR_GUARDED_BY(mutex_);  // per-group global seq -> message
+  DenseTable<GroupState> groups_ FSR_GUARDED_BY(mutex_);
   std::set<NodeId> crashed_ FSR_GUARDED_BY(mutex_);
   std::uint64_t deliveries_ FSR_GUARDED_BY(mutex_) = 0;
   std::string first_violation_ FSR_GUARDED_BY(mutex_);

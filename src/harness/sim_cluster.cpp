@@ -41,7 +41,8 @@ SimCluster::SimCluster(ClusterConfig config)
     : cfg_(config),
       world_(config.net, config.n, config.fd_delay),
       checker_(config.n),
-      logs_(config.n) {
+      logs_(config.n),
+      submit_times_(config.n * config.groups) {
   std::size_t members_n =
       config.initial_members == 0 ? config.n : config.initial_members;
   // Each group's initial ring is the same member set rotated by the group
@@ -80,19 +81,23 @@ SimCluster::SimCluster(ClusterConfig config)
   }
 }
 
-void SimCluster::broadcast(NodeId from, GroupId group, Bytes payload) {
+std::uint64_t SimCluster::note_submit(NodeId from, GroupId group) {
   // The engine numbers own app messages 1, 2, ... per group; mirror that.
-  std::uint64_t app_msg = ++next_app_counter_[{from, group}];
-  submit_times_[{group, from, app_msg}] = world_.sim().now();
-  checker_.on_broadcast(group, from, app_msg, hash_bytes(payload));
-  members_[from].at(group)->broadcast(std::move(payload));
+  auto& times = submit_times_[from * cfg_.groups + group];
+  times.push_back(world_.sim().now());
+  return times.size();
+}
+
+void SimCluster::broadcast(NodeId from, GroupId group, Bytes payload) {
+  GroupMember& m = *members_[from].at(group);
+  checker_.on_broadcast(group, from, note_submit(from, group), hash_bytes(payload));
+  m.broadcast(std::move(payload));
 }
 
 void SimCluster::broadcast(NodeId from, GroupId group, Payload payload) {
-  std::uint64_t app_msg = ++next_app_counter_[{from, group}];
-  submit_times_[{group, from, app_msg}] = world_.sim().now();
-  checker_.on_broadcast(group, from, app_msg, hash_bytes(payload.span()));
-  members_[from].at(group)->broadcast(std::move(payload));
+  GroupMember& m = *members_[from].at(group);
+  checker_.on_broadcast(group, from, note_submit(from, group), hash_bytes(payload.span()));
+  m.broadcast(std::move(payload));
 }
 
 void SimCluster::crash(NodeId node, Time fd_delay) {
@@ -108,8 +113,9 @@ void SimCluster::crash_silent(NodeId node) {
 }
 
 Time SimCluster::submit_time(NodeId origin, std::uint64_t app_msg, GroupId group) const {
-  auto it = submit_times_.find({group, origin, app_msg});
-  return it == submit_times_.end() ? -1 : it->second;
+  if (origin >= size() || group >= cfg_.groups) return -1;
+  const auto& times = submit_times_[origin * cfg_.groups + group];
+  return app_msg >= 1 && app_msg <= times.size() ? times[app_msg - 1] : -1;
 }
 
 Time SimCluster::completion_time(NodeId origin, std::uint64_t app_msg,

@@ -5,9 +5,7 @@
 // check_* methods here are thin façades over it.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <tuple>
 #include <set>
 #include <string>
 #include <vector>
@@ -164,6 +162,9 @@ class SimCluster {
   std::string check_all() const;
 
  private:
+  /// Record a submission's time; returns its app_msg.
+  std::uint64_t note_submit(NodeId from, GroupId group);
+
   ClusterConfig cfg_;
   SimWorld world_;
   InvariantChecker checker_;
@@ -171,8 +172,9 @@ class SimCluster {
   std::vector<std::unique_ptr<GroupMux>> muxes_;
   std::vector<std::vector<std::unique_ptr<GroupMember>>> members_;  // [node][group]
   std::vector<std::vector<LogEntry>> logs_;
-  std::map<std::pair<NodeId, GroupId>, std::uint64_t> next_app_counter_;
-  std::map<std::tuple<GroupId, NodeId, std::uint64_t>, Time> submit_times_;
+  /// Submit time of each own message, per (node, group) stream: the engine
+  /// numbers a stream's messages 1, 2, ..., so app_msg k sits at index k-1.
+  std::vector<std::vector<Time>> submit_times_;  // [node * groups + group]
   std::set<NodeId> crashed_;
   std::function<void(NodeId, const Delivery&)> tap_;
   std::function<void(NodeId, const View&)> view_tap_;

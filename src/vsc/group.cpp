@@ -217,7 +217,8 @@ void GroupMember::start_flush(std::vector<NodeId> new_members) {
            transport_.self(), static_cast<unsigned long long>(proposed),
            new_members.size(), participants.size(),
            has_joiner ? ", with joiner" : "");
-  round_ = FlushRound{proposed, participants, std::move(new_members), {}};
+  round_ = FlushRound{proposed, participants, std::move(new_members), {},
+                      /*install_sent=*/false, /*install_acks=*/{}};
   for (NodeId p : round_->participants) {
     send_to(p, FlushReq{proposed, round_->new_members, has_joiner});
   }

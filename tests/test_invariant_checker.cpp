@@ -184,6 +184,51 @@ TEST(InvariantChecker, CrossGroupSequenceAliasingIsCaught) {
   EXPECT_NE(c.check_integrity(), "");
 }
 
+TEST(InvariantChecker, FarOutFabricatedKeysAreCheckedLikeAnyOther) {
+  // The checker's tables are indexed by the dense counters the engines hand
+  // out; a fabricated key far past them (2^40) must still be judged with the
+  // same message, whichever field carries it.
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
+  {
+    InvariantChecker c(3);
+    seed(c);
+    c.on_delivery(rec(0, 2, kFar, 1, 7));
+    EXPECT_EQ(c.online_violation(),
+              "node 0 delivering group 0 m(2,1099511627776): message was never broadcast");
+    EXPECT_EQ(c.check_integrity(), "node 0 delivered never-broadcast m(2,1099511627776)");
+  }
+  {
+    InvariantChecker c(3);
+    seed(c);
+    c.on_delivery(rec(0, 0, 1, kFar, 1));
+    c.on_delivery(rec(1, 1, 1, kFar, 101));
+    EXPECT_EQ(c.online_violation(),
+              "node 1 delivering group 0 m(1,1): seq 1099511627776 already carried m(0,1)");
+  }
+  {
+    InvariantChecker c(3);
+    c.on_broadcast(0, kFar, 5);
+    c.on_delivery(rec(0, 0, kFar, 1, 5));
+    EXPECT_EQ(c.online_violation(), "");
+    c.on_delivery(rec(0, 0, kFar, 2, 5));
+    EXPECT_EQ(c.online_violation(),
+              "node 0 delivering group 0 m(0,1099511627776): origin counter went backwards "
+              "(last was m(0,1099511627776)): duplicate or FIFO violation");
+  }
+  {
+    InvariantChecker c(3);
+    c.on_broadcast(GroupId{1u << 31}, 0, 1, 42);
+    c.on_delivery(grec(0, 0, 0, 1, 1, 42));
+    EXPECT_EQ(c.online_violation(),
+              "node 0 delivering group 0 m(0,1): cross-group aliasing — message was "
+              "submitted in group 2147483648, not group 0");
+    EXPECT_EQ(c.check_integrity(),
+              "node 0 delivered m(0,1) in group 0 but it was submitted in group 2147483648 "
+              "(cross-group aliasing)");
+    EXPECT_EQ(c.groups_seen(), (std::set<GroupId>{0, 1u << 31}));
+  }
+}
+
 TEST(InvariantChecker, UniformityViolationIsCaught) {
   // The crashed node delivered something the survivors never did.
   InvariantChecker c(3);

@@ -66,7 +66,9 @@ TEST(RoundModelFsr, LatencyIsLinearInN) {
     engine.run(6 * n + 10);
     ASSERT_EQ(engine.completed(), 1);
     long long lat = engine.latency(0);
-    if (prev >= 0) EXPECT_EQ(lat - prev, 2) << "n=" << n;
+    if (prev >= 0) {
+      EXPECT_EQ(lat - prev, 2) << "n=" << n;
+    }
     prev = lat;
   }
 }

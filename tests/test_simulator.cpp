@@ -120,5 +120,78 @@ TEST(Simulator, PendingTracksCancellation) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+
+TEST(Simulator, StaleIdWhoseSlotWasReusedDoesNotCancel) {
+  Simulator sim;
+  TimerId old = sim.schedule(1, [] {});
+  sim.run();  // fires and frees its slot
+  bool fired = false;
+  sim.schedule(1, [&] { fired = true; });  // takes the freed slot
+  sim.cancel(old);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.empty());
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulator, StaleIdOfCanceledEventDoesNotCancelReuser) {
+  Simulator sim;
+  TimerId old = sim.schedule(5, [] {});
+  sim.cancel(old);  // frees the slot while its heap entry is still queued
+  int fired = 0;
+  sim.schedule(5, [&] { ++fired; });
+  sim.cancel(old);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, EqualDeadlinesStayFifoAcrossSlotReuse) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(sim.schedule(7, [&order, i] { order.push_back(i); }));
+  }
+  // Free slots in an order unrelated to scheduling order, then refill them:
+  // the free list hands slots back last-in-first-out, so slot order and
+  // scheduling order now disagree.
+  sim.cancel(ids[1]);
+  sim.cancel(ids[4]);
+  sim.cancel(ids[2]);
+  for (int i = 6; i < 10; ++i) sim.schedule(7, [&order, i] { order.push_back(i); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 5, 6, 7, 8, 9}));
+}
+
+TEST(Simulator, CancelFromSameTimeCallback) {
+  Simulator sim;
+  std::vector<int> order;
+  TimerId victim;
+  sim.schedule(10, [&] {
+    order.push_back(1);
+    sim.cancel(victim);
+  });
+  victim = sim.schedule(10, [&] { order.push_back(2); });
+  sim.schedule(10, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulator, RunUntilSkipsCanceledHead) {
+  Simulator sim;
+  bool late = false;
+  TimerId head = sim.schedule(5, [] {});
+  sim.schedule(20, [&] { late = true; });
+  sim.cancel(head);
+  EXPECT_EQ(sim.run_until(10), 0u);
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_FALSE(late);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
 }  // namespace
 }  // namespace fsr
